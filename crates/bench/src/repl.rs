@@ -19,18 +19,16 @@
 //! verifies that every acknowledged commit survived and the resumed
 //! workload progresses on the new primary.
 //!
-//! ```text
-//! repl [--fleets 0,1,2,4] [--readers N] [--writers N] [--reads N]
-//!      [--ops N] [--hot-books N] [--apply-cost-us N] [--write-pause-us N]
-//!      [--lag-bound-us N] [--protocol NAME] [--seed N] [--json PATH]
-//!      [--bench-json PATH] [--check]
-//! ```
-//!
-//! `--check` gates: read throughput with the largest fleet must beat the
-//! replica-less baseline, every sweep cell must keep its worst observed
-//! lag under `--lag-bound-us` and drain to zero, and the drill must lose
-//! no acknowledged commit while the promoted primary keeps committing.
+//! Gates (`--check` makes them fatal): read throughput with the largest
+//! fleet must beat the replica-less baseline, every sweep cell must keep
+//! its worst observed lag under `--lag-bound-us`, drain to zero and (with
+//! replicas) fail no read, and the drill must lose no acknowledged commit
+//! while the promoted primary keeps committing and the rebuilt replicas
+//! match it. The report is checked in as `BENCH_repl.json`.
 
+use crate::cli::{die, Flags};
+use crate::report::Report;
+use crate::{percentile, row};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,19 +39,6 @@ use xtc_core::{Catalog, CatalogConfig, DocSpec, InsertPos, RetryPolicy, XtcConfi
 use xtc_repl::{ReplConfig, ReplGroup};
 use xtc_tamix::txns::{run_txn_body, Pacing, TxnKind};
 use xtc_tamix::{build_bib_catalog, chaos::document_digest, doc_name, BibConfig};
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
 
 fn retry_policy() -> RetryPolicy {
     RetryPolicy {
@@ -127,9 +112,13 @@ fn run_scale_cell(
         .unwrap_or_else(|e| die(&format!("building group: {e}"))),
     );
     for _ in 0..replicas {
-        group.add_replica().unwrap_or_else(|e| die(&format!("add replica: {e}")));
+        group
+            .add_replica()
+            .unwrap_or_else(|e| die(&format!("add replica: {e}")));
     }
-    group.catch_up().unwrap_or_else(|e| die(&format!("bootstrap catch-up: {e}")));
+    group
+        .catch_up()
+        .unwrap_or_else(|e| die(&format!("bootstrap catch-up: {e}")));
     let primary = group.primary().unwrap();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -183,8 +172,9 @@ fn run_scale_cell(
                 ];
                 while !stop.load(Ordering::Acquire) {
                     let kind = writer_kinds[rng.random_range(0..writer_kinds.len())];
-                    let (result, _) = primary
-                        .run_retrying(&retry, |txn| run_txn_body(txn, kind, &bib, &mut rng, pacing));
+                    let (result, _) = primary.run_retrying(&retry, |txn| {
+                        run_txn_body(txn, kind, &bib, &mut rng, pacing)
+                    });
                     if result.is_ok() {
                         commits.fetch_add(1, Ordering::Relaxed);
                     }
@@ -251,8 +241,15 @@ fn run_scale_cell(
         h.join().unwrap_or_else(|_| die("writer panicked"));
     }
     shipper.join().unwrap_or_else(|_| die("shipper panicked"));
-    group.catch_up().unwrap_or_else(|e| die(&format!("final catch-up: {e}")));
-    let final_lag_us = group.replicas().iter().map(|r| r.lag_us()).max().unwrap_or(0);
+    group
+        .catch_up()
+        .unwrap_or_else(|e| die(&format!("final catch-up: {e}")));
+    let final_lag_us = group
+        .replicas()
+        .iter()
+        .map(|r| r.lag_us())
+        .max()
+        .unwrap_or(0);
 
     vt.sort_unstable();
     ScaleCell {
@@ -315,7 +312,9 @@ fn run_promotion_drill(protocol: &str, crash_after: usize, resume_commits: usize
         let stop = stop.clone();
         std::thread::spawn(move || {
             while !stop.load(Ordering::Acquire) {
-                group.pump().unwrap_or_else(|e| die(&format!("drill pump: {e}")));
+                group
+                    .pump()
+                    .unwrap_or_else(|e| die(&format!("drill pump: {e}")));
                 std::thread::yield_now();
             }
         })
@@ -351,9 +350,13 @@ fn run_promotion_drill(protocol: &str, crash_after: usize, resume_commits: usize
         std::thread::yield_now();
     }
     primary.wal().unwrap().crash();
-    writer.join().unwrap_or_else(|_| die("drill writer panicked"));
+    writer
+        .join()
+        .unwrap_or_else(|_| die("drill writer panicked"));
     stop.store(true, Ordering::Release);
-    shipper.join().unwrap_or_else(|_| die("drill shipper panicked"));
+    shipper
+        .join()
+        .unwrap_or_else(|_| die("drill shipper panicked"));
     let acknowledged = acks.load(Ordering::Acquire);
 
     let report = group
@@ -374,7 +377,8 @@ fn run_promotion_drill(protocol: &str, crash_after: usize, resume_commits: usize
                 lost += 1;
             }
         }
-        txn.commit().unwrap_or_else(|e| die(&format!("audit commit: {e}")));
+        txn.commit()
+            .unwrap_or_else(|e| die(&format!("audit commit: {e}")));
     }
 
     // The resumed workload: the new epoch keeps committing and shipping.
@@ -388,7 +392,9 @@ fn run_promotion_drill(protocol: &str, crash_after: usize, resume_commits: usize
             post_promotion_commits += 1;
         }
     }
-    group.catch_up().unwrap_or_else(|e| die(&format!("resume catch-up: {e}")));
+    group
+        .catch_up()
+        .unwrap_or_else(|e| die(&format!("resume catch-up: {e}")));
     let replica_digest_match = group
         .replicas()
         .iter()
@@ -406,68 +412,21 @@ fn run_promotion_drill(protocol: &str, crash_after: usize, resume_commits: usize
     }
 }
 
-fn main() {
-    let mut fleets: Vec<usize> = vec![0, 1, 2, 4];
-    let mut readers: usize = 4;
-    let mut writers: usize = 2;
-    let mut reads: usize = 60;
-    let mut ops_per_read: usize = 6;
-    let mut hot_books: usize = 4;
-    let mut apply_cost_us: u64 = 2;
-    let mut write_pause_us: u64 = 2000;
-    let mut lag_bound_us: u64 = 100_000;
-    let mut protocol = "taDOM3+".to_string();
-    let mut seed: u64 = 0x9E91;
-    let mut json_path = "results/repl.json".to_string();
-    let mut bench_json_path = "BENCH_repl.json".to_string();
-    let mut check = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a {what}")))
-        };
-        match a.as_str() {
-            "--fleets" => {
-                fleets = val("list")
-                    .split(',')
-                    .map(|s| s.trim().parse().unwrap_or_else(|_| die("bad fleet list")))
-                    .collect()
-            }
-            "--readers" => readers = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--writers" => writers = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--reads" => reads = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--ops" => ops_per_read = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--hot-books" => {
-                hot_books = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--apply-cost-us" => {
-                apply_cost_us = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--write-pause-us" => {
-                write_pause_us = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--lag-bound-us" => {
-                lag_bound_us = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--protocol" => protocol = val("name"),
-            "--seed" => seed = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--json" => json_path = val("path"),
-            "--bench-json" => bench_json_path = val("path"),
-            "--check" => check = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --fleets L --readers N --writers N --reads N --ops N \
-                     --hot-books N --apply-cost-us N --write-pause-us N \
-                     --lag-bound-us N --protocol NAME --seed N --json PATH \
-                     --bench-json PATH --check"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
-        }
-    }
+pub fn run(flags: &Flags) {
+    let mut report = Report::new(flags);
+    report.read_check(flags);
+    let fleets: Vec<usize> = flags.list("fleets", &[0, 1, 2, 4], "replica counts to sweep");
+    let readers: usize = flags.num("readers", 4, "reader threads");
+    let writers: usize = flags.num("writers", 2, "writer threads of the storm");
+    let reads: usize = flags.num("reads", 60, "long reads per reader");
+    let ops_per_read: usize = flags.num("ops", 6, "TAqueryBook bodies per long read");
+    let hot_books: usize = flags.num("hot-books", 4, "books in the hot document");
+    let apply_cost_us: u64 = flags.num("apply-cost-us", 2, "virtual cost per applied record");
+    let write_pause_us: u64 = flags.num("write-pause-us", 2000, "writer think time under locks");
+    let lag_bound_us: u64 = flags.num("lag-bound-us", 100_000, "worst tolerated replica lag");
+    let protocol = flags.text("protocol", "taDOM3+", "lock protocol");
+    let seed: u64 = flags.num("seed", 0x9E91, "base RNG seed");
+    flags.finish();
     if fleets.is_empty() || readers == 0 || writers == 0 || reads == 0 || ops_per_read == 0 {
         die("--fleets, --readers, --writers, --reads, --ops must all be positive");
     }
@@ -512,143 +471,109 @@ fn main() {
     eprintln!("repl: promotion drill");
     let drill = run_promotion_drill(&protocol, 25, 25);
 
-    println!("\n== repl: read scaling under a {writers}-writer storm ({protocol}) ==");
-    println!(
-        "{:>9} {:>7} {:>7} {:>10} {:>10} {:>10} {:>9} {:>11} {:>11}",
-        "replicas", "reads", "failed", "reads/s", "vt p50", "vt p95", "attempts", "max lag us", "final lag"
-    );
-    for c in &cells {
-        println!(
-            "{:>9} {:>7} {:>7} {:>10.1} {:>10} {:>10} {:>9} {:>11} {:>11}",
-            c.replicas,
-            c.reads,
-            c.read_failed,
-            c.reads_per_sec,
-            c.read_vt[0],
-            c.read_vt[1],
-            c.read_attempts,
-            c.max_lag_us,
-            c.final_lag_us,
-        );
-    }
-    println!(
-        "promotion drill: {} acknowledged, {} lost, fenced lsn {}, \
-         recovery {}W/{}L, {} replicas rebuilt, {} resumed commits, digests match: {}",
-        drill.acknowledged,
-        drill.lost,
-        drill.fenced_lsn,
-        drill.recovery_winners,
-        drill.recovery_losers,
-        drill.replicas_rebuilt,
-        drill.post_promotion_commits,
-        drill.replica_digest_match,
-    );
-
-    let cells_json = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"replicas\": {}, \"reads\": {}, \"read_failed\": {}, \
-                 \"wall_s\": {:.3}, \"reads_per_sec\": {:.1}, \"read_vt_p50_us\": {}, \
-                 \"read_vt_p95_us\": {}, \"read_attempts\": {}, \"writer_commits\": {}, \
-                 \"max_lag_us\": {}, \"final_lag_us\": {}}}",
-                c.replicas,
-                c.reads,
-                c.read_failed,
-                c.wall_s,
-                c.reads_per_sec,
-                c.read_vt[0],
-                c.read_vt[1],
-                c.read_attempts,
-                c.writer_commits,
-                c.max_lag_us,
-                c.final_lag_us,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let body = format!(
-        "{{\n  \"benchmark\": \"repl\",\n  \"summary\": {{\"protocol\": \"{protocol}\", \
-         \"readers\": {readers}, \"writers\": {writers}, \"reads_per_reader\": {reads}, \
-         \"ops_per_read\": {ops_per_read}, \"apply_cost_us\": {apply_cost_us}, \
-         \"write_pause_us\": {write_pause_us}, \"lag_bound_us\": {lag_bound_us}, \
-         \"seed\": {seed}}},\n  \
-         \"read_scaling\": [\n{cells_json}\n  ],\n  \
-         \"promotion\": {{\"acknowledged\": {}, \"lost\": {}, \"fenced_lsn\": {}, \
-         \"recovery_winners\": {}, \"recovery_losers\": {}, \"replicas_rebuilt\": {}, \
-         \"post_promotion_commits\": {}, \"replica_digest_match\": {}}}\n}}\n",
-        drill.acknowledged,
-        drill.lost,
-        drill.fenced_lsn,
-        drill.recovery_winners,
-        drill.recovery_losers,
-        drill.replicas_rebuilt,
-        drill.post_promotion_commits,
-        drill.replica_digest_match,
-    );
-    for path in [&json_path, &bench_json_path] {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
+    report.summary = row! {
+        "protocol": &protocol, "readers": readers, "writers": writers,
+        "reads_per_reader": reads, "ops_per_read": ops_per_read,
+        "apply_cost_us": apply_cost_us, "write_pause_us": write_pause_us,
+        "lag_bound_us": lag_bound_us, "seed": seed,
+    };
+    let scaling = cells.iter().map(|c| {
+        row! {
+            "replicas": c.replicas, "reads": c.reads, "read_failed": c.read_failed,
+            "wall_s": c.wall_s, "reads_per_sec": c.reads_per_sec,
+            "read_vt_p50_us": c.read_vt[0], "read_vt_p95_us": c.read_vt[1],
+            "read_attempts": c.read_attempts, "writer_commits": c.writer_commits,
+            "max_lag_us": c.max_lag_us, "final_lag_us": c.final_lag_us,
         }
-        std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote {path}");
-    }
+    });
+    report.table(
+        "read_scaling",
+        &format!("repl: read scaling under a {writers}-writer storm ({protocol})"),
+        scaling.collect(),
+    );
+    report.table(
+        "promotion",
+        "repl: promotion drill",
+        vec![row! {
+            "acknowledged": drill.acknowledged, "lost": drill.lost,
+            "fenced_lsn": drill.fenced_lsn, "recovery_winners": drill.recovery_winners,
+            "recovery_losers": drill.recovery_losers,
+            "replicas_rebuilt": drill.replicas_rebuilt,
+            "post_promotion_commits": drill.post_promotion_commits,
+            "replica_digest_match": drill.replica_digest_match,
+        }],
+    );
 
-    if check {
-        let mut bad = Vec::new();
-        let baseline = &cells[0];
-        let largest = cells.iter().max_by_key(|c| c.replicas).unwrap();
+    let baseline = &cells[0];
+    let largest = cells.iter().max_by_key(|c| c.replicas).unwrap_or(baseline);
+    report.gate(
+        "read_scaling",
+        baseline.replicas == 0
+            && (largest.replicas == 0 || largest.reads_per_sec > baseline.reads_per_sec),
         if baseline.replicas != 0 {
-            bad.push("the sweep must include the replica-less baseline".to_string());
-        } else if largest.replicas > 0 && largest.reads_per_sec <= baseline.reads_per_sec {
-            bad.push(format!(
-                "no read scaling: {} replicas served {:.1} reads/s vs {:.1} with none",
+            "the sweep must include the replica-less baseline".to_string()
+        } else {
+            format!(
+                "{} replicas served {:.1} reads/s vs {:.1} with none",
                 largest.replicas, largest.reads_per_sec, baseline.reads_per_sec
+            )
+        },
+    );
+    let mut lagging = Vec::new();
+    let mut shed = Vec::new();
+    for c in &cells {
+        if c.max_lag_us > lag_bound_us {
+            lagging.push(format!(
+                "{} replicas: worst lag {}us exceeds the {}us bound",
+                c.replicas, c.max_lag_us, lag_bound_us
             ));
         }
-        for c in &cells {
-            if c.max_lag_us > lag_bound_us {
-                bad.push(format!(
-                    "{} replicas: worst lag {}us exceeds the {}us bound",
-                    c.replicas, c.max_lag_us, lag_bound_us
-                ));
-            }
-            if c.final_lag_us != 0 {
-                bad.push(format!(
-                    "{} replicas: {}us lag left after the final catch-up",
-                    c.replicas, c.final_lag_us
-                ));
-            }
-            // Replica reads never contend with the storm, so they must
-            // all succeed; the replica-less baseline is allowed to shed
-            // reads under contention (that is its point).
-            if c.replicas > 0 && c.read_failed > 0 {
-                bad.push(format!(
-                    "{} replicas: {} reader transactions exhausted retries",
-                    c.replicas, c.read_failed
-                ));
-            }
-        }
-        if drill.lost > 0 {
-            bad.push(format!(
-                "promotion lost {} of {} acknowledged commits",
-                drill.lost, drill.acknowledged
+        if c.final_lag_us != 0 {
+            lagging.push(format!(
+                "{} replicas: {}us lag left after the final catch-up",
+                c.replicas, c.final_lag_us
             ));
         }
-        if drill.post_promotion_commits == 0 {
-            bad.push("the resumed workload made no progress after promotion".to_string());
+        // Replica reads never contend with the storm, so they must
+        // all succeed; the replica-less baseline is allowed to shed
+        // reads under contention (that is its point).
+        if c.replicas > 0 && c.read_failed > 0 {
+            shed.push(format!(
+                "{} replicas: {} reader transactions exhausted retries",
+                c.replicas, c.read_failed
+            ));
         }
-        if !drill.replica_digest_match {
-            bad.push("rebuilt replicas diverged from the promoted primary".to_string());
-        }
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("repl check failed: {b}");
-            }
-            std::process::exit(1);
-        }
-        println!("repl check passed");
     }
+    report.gate_all(
+        "lag_bounded_and_drained",
+        lagging,
+        format!("every cell stayed under {lag_bound_us}us and drained to zero"),
+    );
+    report.gate_all(
+        "replica_reads_succeed",
+        shed,
+        "no replica read exhausted its retries",
+    );
+    report.gate(
+        "promotion_lossless",
+        drill.lost == 0,
+        format!(
+            "promotion lost {} of {} acknowledged commits",
+            drill.lost, drill.acknowledged
+        ),
+    );
+    report.gate(
+        "promotion_resumes",
+        drill.post_promotion_commits > 0,
+        format!(
+            "{} commits on the promoted primary",
+            drill.post_promotion_commits
+        ),
+    );
+    report.gate(
+        "replicas_match_promoted_primary",
+        drill.replica_digest_match,
+        "rebuilt replicas must digest-match the promoted primary",
+    );
+    report.finish();
 }

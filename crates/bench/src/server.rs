@@ -5,17 +5,16 @@
 //! tail latency (p50/p95/p99) on both clocks: wall microseconds and the
 //! engine's virtual-time attribution from each `run` reply.
 //!
-//! ```text
-//! server [--docs N] [--sessions N] [--workers N] [--requests N]
-//!        [--zipf S] [--max-in-flight N] [--protocol NAME] [--seed N]
-//!        [--json PATH] [--bench-json PATH] [--check]
-//! ```
-//!
-//! `--check` gates: every configured session must be connected
-//! concurrently (the ≥1000-sessions claim), commit rate ≥ 99%, every
-//! mix type must appear, and the Zipf skew must be visible (the hottest
-//! document serves more sessions than the coldest).
+//! Gates (`--check` makes them fatal): every configured session must be
+//! connected concurrently (the ≥1000-sessions claim), commit rate ≥ 99%,
+//! every mix type must appear with nonzero virtual time at p99, the Zipf
+//! skew must be visible (the hottest document serves more sessions than
+//! the coldest), and no admission slot may stay held after the drain.
+//! The report is checked in as `BENCH_server.json`.
 
+use crate::cli::{die, Flags};
+use crate::report::Report;
+use crate::{percentile, row};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier};
@@ -27,26 +26,12 @@ use xtc_tamix::{build_bib_catalog, doc_name, sample_kind, BibConfig, TxnKind, Zi
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2)
-}
-
 /// One completed request, as measured at the client.
 struct Sample {
     kind: TxnKind,
     wall_us: u64,
     vt_us: u64,
     attempts: u32,
-}
-
-/// Sorted-percentile helper (nearest-rank).
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 struct KindRow {
@@ -92,50 +77,18 @@ fn kind_rows(samples: &[Sample]) -> Vec<KindRow> {
     rows
 }
 
-fn main() {
-    let mut docs: usize = 16;
-    let mut sessions: usize = 1024;
-    let mut workers: usize = 16;
-    let mut requests: usize = 3;
-    let mut zipf_s: f64 = 1.0;
-    let mut max_in_flight: usize = 64;
-    let mut protocol = "taDOM3+".to_string();
-    let mut seed: u64 = 0x5E55_10B5;
-    let mut json_path = "results/server.json".to_string();
-    let mut bench_json_path = "BENCH_server.json".to_string();
-    let mut check = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a {what}")))
-        };
-        match a.as_str() {
-            "--docs" => docs = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--sessions" => sessions = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--workers" => workers = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--requests" => requests = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--zipf" => zipf_s = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--max-in-flight" => {
-                max_in_flight = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--protocol" => protocol = val("name"),
-            "--seed" => seed = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--json" => json_path = val("path"),
-            "--bench-json" => bench_json_path = val("path"),
-            "--check" => check = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --docs N --sessions N --workers N --requests N \
-                     --zipf S --max-in-flight N --protocol NAME --seed N \
-                     --json PATH --bench-json PATH --check"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
-        }
-    }
+pub fn run(flags: &Flags) {
+    let mut report = Report::new(flags);
+    report.read_check(flags);
+    let docs: usize = flags.num("docs", 16, "documents in the catalog");
+    let sessions: usize = flags.num("sessions", 1024, "concurrent client sessions");
+    let mut workers: usize = flags.num("workers", 16, "client threads driving the sessions");
+    let requests: usize = flags.num("requests", 3, "requests per session");
+    let zipf_s: f64 = flags.num("zipf", 1.0, "Zipf exponent of the document choice");
+    let max_in_flight: usize = flags.num("max-in-flight", 64, "admission-gate slots");
+    let protocol = flags.text("protocol", "taDOM3+", "lock protocol");
+    let seed: u64 = flags.num("seed", 0x5E55_10B5, "base RNG seed");
+    flags.finish();
     if docs == 0 || sessions == 0 || workers == 0 || requests == 0 {
         die("--docs, --sessions, --workers, --requests must all be positive");
     }
@@ -185,7 +138,9 @@ fn main() {
     // serve many sessions, the tail serves few.
     let zipf = Zipf::new(docs, zipf_s);
     let mut assign_rng = SmallRng::seed_from_u64(seed);
-    let doc_of: Vec<usize> = (0..sessions).map(|_| zipf.sample(&mut assign_rng)).collect();
+    let doc_of: Vec<usize> = (0..sessions)
+        .map(|_| zipf.sample(&mut assign_rng))
+        .collect();
     let mut sessions_per_doc = vec![0usize; docs];
     for &d in &doc_of {
         sessions_per_doc[d] += 1;
@@ -272,114 +227,62 @@ fn main() {
         committed as f64 / total_requests as f64
     };
 
-    println!("\n== server: {sessions} Zipf-skewed sessions over {docs} documents ==");
-    println!(
-        "peak concurrent sessions {peak_sessions}, {committed} committed / {failed} failed \
-         in {:.2}s, gate {max_in_flight} ({in_flight_after} in flight after drain)",
-        wall_total.as_secs_f64()
-    );
-    println!(
-        "{:>16} {:>7} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "type", "count", "attempts", "wall p50", "wall p95", "wall p99", "vt p50", "vt p95", "vt p99"
-    );
-    for r in &rows {
-        println!(
-            "{:>16} {:>7} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
-            r.kind.name(),
-            r.count,
-            r.attempts,
-            r.wall[0],
-            r.wall[1],
-            r.wall[2],
-            r.vt[0],
-            r.vt[1],
-            r.vt[2],
-        );
-    }
     let hottest = sessions_per_doc.iter().copied().max().unwrap_or(0);
     let coldest = sessions_per_doc.iter().copied().min().unwrap_or(0);
-    println!("document popularity: hottest {hottest} sessions, coldest {coldest} sessions");
 
-    let kind_json = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"kind\": \"{}\", \"count\": {}, \"attempts\": {}, \
-                 \"wall_p50_us\": {}, \"wall_p95_us\": {}, \"wall_p99_us\": {}, \
-                 \"vt_p50_us\": {}, \"vt_p95_us\": {}, \"vt_p99_us\": {}}}",
-                r.kind.name(),
-                r.count,
-                r.attempts,
-                r.wall[0],
-                r.wall[1],
-                r.wall[2],
-                r.vt[0],
-                r.vt[1],
-                r.vt[2],
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
+    report.summary = row! {
+        "docs": docs, "sessions": sessions, "peak_sessions": peak_sessions,
+        "workers": workers, "requests_per_session": requests, "zipf_exponent": zipf_s,
+        "max_in_flight": max_in_flight, "protocol": &protocol, "committed": committed,
+        "failed": failed, "commit_rate": commit_rate, "wall_s": wall_total.as_secs_f64(),
+    };
     let popularity = sessions_per_doc
         .iter()
-        .map(|n| n.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    let body = format!(
-        "{{\n  \"benchmark\": \"server\",\n  \"summary\": {{\"docs\": {docs}, \
-         \"sessions\": {sessions}, \"peak_sessions\": {peak_sessions}, \
-         \"workers\": {workers}, \"requests_per_session\": {requests}, \
-         \"zipf_exponent\": {zipf_s}, \"max_in_flight\": {max_in_flight}, \
-         \"protocol\": \"{protocol}\", \"committed\": {committed}, \
-         \"failed\": {failed}, \"commit_rate\": {commit_rate:.4}, \
-         \"wall_s\": {:.3}}},\n  \"sessions_per_doc\": [{popularity}],\n  \
-         \"kinds\": [\n{kind_json}\n  ]\n}}\n",
-        wall_total.as_secs_f64(),
+        .enumerate()
+        .map(|(doc, &n)| row! { "doc": doc, "sessions": n });
+    report.data("sessions_per_doc", popularity.collect());
+    let kinds = rows.iter().map(|r| {
+        row! {
+            "kind": r.kind.name(), "count": r.count, "attempts": r.attempts,
+            "wall_p50_us": r.wall[0], "wall_p95_us": r.wall[1], "wall_p99_us": r.wall[2],
+            "vt_p50_us": r.vt[0], "vt_p95_us": r.vt[1], "vt_p99_us": r.vt[2],
+        }
+    });
+    report.table(
+        "kinds",
+        &format!("server: {sessions} Zipf-skewed sessions over {docs} documents"),
+        kinds.collect(),
     );
-    for path in [&json_path, &bench_json_path] {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote {path}");
-    }
 
-    if check {
-        let mut bad = Vec::new();
-        if (peak_sessions as usize) < sessions {
-            bad.push(format!(
-                "only {peak_sessions} of {sessions} sessions were concurrently connected"
-            ));
-        }
-        if commit_rate < 0.99 {
-            bad.push(format!(
-                "commit rate {commit_rate:.4} below 0.99 ({failed} failures)"
-            ));
-        }
-        if rows.len() < 4 {
-            bad.push(format!("only {} of 4 mix types appeared", rows.len()));
-        }
-        if rows.iter().any(|r| r.vt[2] == 0) {
-            bad.push("a type reported zero virtual time at p99".to_string());
-        }
-        if zipf_s > 0.0 && docs > 1 && hottest <= coldest {
-            bad.push(format!(
-                "no visible Zipf skew: hottest doc {hottest} <= coldest {coldest}"
-            ));
-        }
-        if in_flight_after != 0 {
-            bad.push(format!(
-                "{in_flight_after} admission slots still held after the fleet drained"
-            ));
-        }
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("server check failed: {b}");
-            }
-            std::process::exit(1);
-        }
-        println!("server check passed");
-    }
+    report.gate(
+        "all_sessions_concurrent",
+        peak_sessions as usize >= sessions,
+        format!("{peak_sessions} of {sessions} sessions were concurrently connected"),
+    );
+    report.gate(
+        "commit_rate",
+        commit_rate >= 0.99,
+        format!("commit rate {commit_rate:.4} ({failed} failures), floor 0.99"),
+    );
+    report.gate(
+        "all_mix_types",
+        rows.len() >= 4,
+        format!("{} of 4 mix types appeared", rows.len()),
+    );
+    report.gate(
+        "virtual_time_reported",
+        rows.iter().all(|r| r.vt[2] > 0),
+        "every type must report nonzero virtual time at p99",
+    );
+    report.gate(
+        "zipf_skew_visible",
+        !(zipf_s > 0.0 && docs > 1 && hottest <= coldest),
+        format!("hottest doc {hottest} sessions, coldest {coldest}"),
+    );
+    report.gate(
+        "admission_drained",
+        in_flight_after == 0,
+        format!("{in_flight_after} admission slots still held after the fleet drained"),
+    );
+    report.finish();
 }

@@ -20,28 +20,22 @@
 //! logical reference (the pool's correlated-reference window, widened
 //! here to transaction scale), under both policies.
 //!
-//! ```text
-//! storage [--fractions 1.0,0.5,0.25,0.1] [--duration-ms N] [--seed N]
-//!         [--miss-us N] [--file-backed] [--json PATH]
-//!         [--bench-json PATH] [--check]
-//! ```
-//!
-//! `--check` gates (the ISSUE 9 acceptance bars): at the 25% budget
-//! fraction LRU-2 must hold a hit rate at least 10 points above
-//! clean-LRU and at least 1.2× its throughput, and with filters on a
-//! batch of absent index probes must cost zero page reads.
+//! Gates (the ISSUE 9 acceptance bars; `--check` makes them fatal): at
+//! the 25% budget fraction LRU-2 must hold a hit rate at least 10 points
+//! above clean-LRU and at least 1.2× its throughput and recall a page
+//! through its ghost list, and with filters on a batch of absent index
+//! probes must cost zero page reads. The report is checked in as
+//! `BENCH_storage.json`.
 
+use crate::cli::Flags;
+use crate::report::Report;
+use crate::row;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xtc_core::{IsolationLevel, XtcConfig, XtcDb};
 use xtc_node::EvictPolicy;
 use xtc_tamix::{bib, run_cluster1_on, BibConfig, PoolReport, TamixParams};
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2)
-}
 
 /// One sweep cell: policy × budget fraction.
 struct Cell {
@@ -261,87 +255,27 @@ fn absent_probe_cost(bib_cfg: &BibConfig) -> (u64, u64, u64) {
     )
 }
 
-fn cell_json(c: &Cell) -> String {
-    format!(
-        "    {{\"policy\": \"{}\", \"fraction\": {}, \"budget_pages\": {}, \
-         \"committed\": {}, \"throughput_per_5min\": {:.1}, \"hit_rate\": {:.4}, \
-         \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"evict_blocked\": {}, \
-         \"flushes\": {}, \"forced_writebacks\": {}, \"ghost_hits\": {}, \
-         \"polluter_entries\": {}}}",
-        c.policy,
-        c.fraction,
-        c.budget_pages,
-        c.committed,
-        c.throughput,
-        c.hit_rate,
-        c.pool.hits,
-        c.pool.misses,
-        c.pool.evictions,
-        c.pool.evict_blocked,
-        c.pool.flushes,
-        c.pool.forced_writebacks,
-        c.pool.ghost_hits,
-        c.polluter_entries,
-    )
-}
-
-fn main() {
-    let mut fractions = vec![1.0f64, 0.5, 0.25, 0.1];
-    let mut duration = Duration::from_millis(1500);
-    let mut seed: u64 = 0x5709_4A6E;
-    let mut miss = Duration::from_micros(1000);
+pub fn run(flags: &Flags) {
+    let mut report = Report::new(flags);
+    report.read_check(flags);
+    let fractions: Vec<f64> = flags.list(
+        "fractions",
+        &[1.0, 0.5, 0.25, 0.1],
+        "resident-budget fractions",
+    );
+    let duration = Duration::from_millis(flags.num("duration-ms", 1500, "run time per cell"));
+    let seed: u64 = flags.num("seed", 0x5709_4A6E, "base RNG seed");
+    let miss = Duration::from_micros(flags.num("miss-us", 1000, "simulated fault-in latency"));
     // Transaction-scale correlated-reference window (LRU-clock ticks):
     // node-grain re-reads by one transaction collapse into a single
     // logical reference for both the hit/miss counters and LRU-2's
     // history, per the LRU-2 correlated-reference period.
-    let mut burst_ticks: u64 = 2048;
-    let mut file_backed = false;
-    let mut json_path = "results/storage.json".to_string();
-    let mut bench_json_path = "BENCH_storage.json".to_string();
-    let mut check = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a {what}")))
-        };
-        match a.as_str() {
-            "--fractions" => {
-                fractions = val("list")
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| die("bad fraction")))
-                    .collect()
-            }
-            "--duration-ms" => {
-                duration = Duration::from_millis(
-                    val("number").parse().unwrap_or_else(|_| die("bad number")),
-                )
-            }
-            "--seed" => seed = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--miss-us" => {
-                miss = Duration::from_micros(
-                    val("number").parse().unwrap_or_else(|_| die("bad number")),
-                )
-            }
-            "--burst-ticks" => {
-                burst_ticks = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--file-backed" => file_backed = true,
-            "--json" => json_path = val("path"),
-            "--bench-json" => bench_json_path = val("path"),
-            "--check" => check = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --fractions 1.0,0.5,0.25,0.1 --duration-ms N --seed N \
-                     --miss-us N --burst-ticks N --file-backed --json PATH \
-                     --bench-json PATH --check"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
-        }
-    }
+    let burst_ticks: u64 = flags.num("burst-ticks", 2048, "correlated-reference window");
+    let file_backed = flags.switch(
+        "file-backed",
+        "page files on disk instead of the sim backend",
+    );
+    flags.finish();
 
     let bib_cfg = wide_bib();
     let live = measure_live_pages(&bib_cfg);
@@ -389,90 +323,76 @@ fn main() {
          {probe_reads} page reads"
     );
 
-    println!("\n== storage: eviction policy × resident budget, TaMix + append flood ==");
-    println!(
-        "{:>10} {:>6} {:>7} {:>9} {:>12} {:>10} {:>10}",
-        "policy", "budget", "pages", "hit rate", "thpt/5min", "evictions", "ghost hits"
+    report.summary = row! {
+        "live_pages": live, "miss_us": miss.as_micros() as u64,
+        "duration_ms": duration.as_millis() as u64, "file_backed": file_backed,
+        "filter_probes": probes, "filter_negatives": negatives,
+        "absent_probe_page_reads": probe_reads,
+    };
+    let rows = cells.iter().map(|c| {
+        row! {
+            "policy": c.policy, "fraction": c.fraction, "budget_pages": c.budget_pages,
+            "committed": c.committed, "throughput_per_5min": c.throughput,
+            "hit_rate": c.hit_rate, "hits": c.pool.hits, "misses": c.pool.misses,
+            "evictions": c.pool.evictions, "evict_blocked": c.pool.evict_blocked,
+            "flushes": c.pool.flushes, "forced_writebacks": c.pool.forced_writebacks,
+            "ghost_hits": c.pool.ghost_hits, "polluter_entries": c.polluter_entries,
+        }
+    });
+    report.table(
+        "cells",
+        "storage: eviction policy × resident budget, TaMix + append flood",
+        rows.collect(),
     );
-    for c in &cells {
-        println!(
-            "{:>10} {:>5.0}% {:>7} {:>8.1}% {:>12.1} {:>10} {:>10}",
-            c.policy,
-            c.fraction * 100.0,
-            c.budget_pages,
-            c.hit_rate * 100.0,
-            c.throughput,
-            c.pool.evictions,
-            c.pool.ghost_hits,
-        );
-    }
 
-    let cell_rows = cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n");
-    let body = format!(
-        "{{\n  \"benchmark\": \"storage\",\n  \"summary\": {{\"live_pages\": {live}, \
-         \"miss_us\": {}, \"duration_ms\": {}, \"file_backed\": {file_backed}, \
-         \"filter_probes\": {probes}, \"filter_negatives\": {negatives}, \
-         \"absent_probe_page_reads\": {probe_reads}}},\n  \"cells\": [\n{cell_rows}\n  ]\n}}\n",
-        miss.as_micros(),
-        duration.as_millis(),
+    let at = |policy: &str| {
+        cells
+            .iter()
+            .find(|c| c.policy == policy && (c.fraction - 0.25).abs() < 1e-9)
+    };
+    match (at("lru-2"), at("clean-lru")) {
+        (Some(lru2), Some(lru)) => {
+            report.gate(
+                "lru2_hit_rate",
+                lru2.hit_rate >= lru.hit_rate + 0.10,
+                format!(
+                    "at 25% budget LRU-2 hit rate {:.1}% vs clean-LRU's {:.1}% (need ≥ 10 points above)",
+                    lru2.hit_rate * 100.0,
+                    lru.hit_rate * 100.0
+                ),
+            );
+            report.gate(
+                "lru2_throughput",
+                lru2.throughput >= 1.2 * lru.throughput,
+                format!(
+                    "at 25% budget LRU-2 throughput {:.1} vs clean-LRU's {:.1} (need ≥ 1.2×)",
+                    lru2.throughput, lru.throughput
+                ),
+            );
+            report.gate(
+                "lru2_ghost_recall",
+                lru2.pool.ghost_hits > 0,
+                format!(
+                    "LRU-2 ghost list recalled {} pages at 25% budget",
+                    lru2.pool.ghost_hits
+                ),
+            );
+        }
+        _ => report.gate(
+            "lru2_hit_rate",
+            false,
+            "the gates need the 0.25 fraction in the sweep",
+        ),
+    }
+    report.gate(
+        "absent_probes_read_nothing",
+        probe_reads == 0,
+        format!("{probes} absent index probes read {probe_reads} pages with filters on (want 0)"),
     );
-    for path in [&json_path, &bench_json_path] {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-        }
-        std::fs::write(path, &body).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("wrote {path}");
-    }
-
-    if check {
-        let mut bad = Vec::new();
-        let at = |policy: &str, fraction: f64| {
-            cells
-                .iter()
-                .find(|c| c.policy == policy && (c.fraction - fraction).abs() < 1e-9)
-        };
-        match (at("lru-2", 0.25), at("clean-lru", 0.25)) {
-            (Some(lru2), Some(lru)) => {
-                if lru2.hit_rate < lru.hit_rate + 0.10 {
-                    bad.push(format!(
-                        "at 25% budget LRU-2 hit rate {:.1}% is not ≥ 10 points above \
-                         clean-LRU's {:.1}%",
-                        lru2.hit_rate * 100.0,
-                        lru.hit_rate * 100.0
-                    ));
-                }
-                if lru2.throughput < 1.2 * lru.throughput {
-                    bad.push(format!(
-                        "at 25% budget LRU-2 throughput {:.1} is not ≥ 1.2× \
-                         clean-LRU's {:.1}",
-                        lru2.throughput, lru.throughput
-                    ));
-                }
-                if lru2.pool.ghost_hits == 0 {
-                    bad.push("LRU-2 ghost list never recalled a page at 25% budget".into());
-                }
-            }
-            _ => bad.push("check needs the 0.25 fraction in the sweep".to_string()),
-        }
-        if probe_reads != 0 {
-            bad.push(format!(
-                "absent index probes read {probe_reads} pages with filters on (want 0)"
-            ));
-        }
-        if negatives == 0 {
-            bad.push("absent-probe batch produced no filter negatives".to_string());
-        }
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("storage check failed: {b}");
-            }
-            std::process::exit(1);
-        }
-        println!(
-            "storage check passed: LRU-2 beats clean-LRU at the 25% budget and \
-             filtered absent probes cost zero page reads"
-        );
-    }
+    report.gate(
+        "filter_negatives_seen",
+        negatives > 0,
+        format!("the absent-probe batch produced {negatives} filter negatives"),
+    );
+    report.finish();
 }

@@ -3,28 +3,21 @@
 //! protocol — per-transaction timelines, lock/IO/WAL latency histograms,
 //! and the full event list.
 //!
-//! ```text
-//! trace [--protocols a,b,c] [--txns N] [--seed N] [--bib tiny|scaled|paper]
-//!       [--read-latency-us N] [--events N] [--out DIR]
-//! ```
-//!
-//! Writes `DIR/trace_<protocol>.json` (default `results/`). The run is
+//! An exporter, not a measurement: instead of a report it writes the
+//! engine's own export, `<--out>/trace_<protocol>.json` (default `results/`),
+//! one file per protocol. The run is
 //! single-threaded, so with a fixed seed the event sequence is
 //! deterministic up to measured wait fields (which are zero without
 //! contention) — the golden-trace test relies on the same property.
 
+use crate::cli::{die, Flags};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::time::Duration;
 use xtc_core::{IsolationLevel, XtcConfig, XtcDb};
 use xtc_obs::ObsConfig;
 use xtc_tamix::txns::{run_txn, Pacing};
-use xtc_tamix::{bib, BibConfig, TxnKind};
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg} (try --help)");
-    std::process::exit(2)
-}
+use xtc_tamix::{bib, TxnKind};
 
 /// The sequential mix: cycles through every transaction type so the
 /// trace shows reads, updates, deletions, and their WAL records.
@@ -36,56 +29,22 @@ const MIX: [TxnKind; 5] = [
     TxnKind::DelBook,
 ];
 
-fn main() {
-    let mut protocols: Vec<String> = vec!["taDOM3+".to_string(), "Node2PL".to_string()];
-    let mut txns: usize = 25;
-    let mut seed: u64 = 42;
-    let mut bib_cfg = BibConfig::tiny();
-    let mut read_latency_us: u64 = 10;
-    let mut events: usize = 262_144;
-    let mut out_dir = "results".to_string();
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |what: &str| {
-            args.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a {what}")))
-        };
-        match a.as_str() {
-            "--protocols" => {
-                protocols = val("list").split(',').map(|s| s.to_string()).collect();
-                if protocols.iter().any(|p| p == "all") {
-                    protocols = xtc_protocols::ALL_PROTOCOLS
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect();
-                }
-            }
-            "--txns" => txns = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--seed" => seed = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--bib" => {
-                bib_cfg = match val("size").as_str() {
-                    "tiny" => BibConfig::tiny(),
-                    "scaled" => BibConfig::scaled(),
-                    "paper" => BibConfig::paper(),
-                    other => die(&format!("unknown bib size {other}")),
-                }
-            }
-            "--read-latency-us" => {
-                read_latency_us = val("number").parse().unwrap_or_else(|_| die("bad number"))
-            }
-            "--events" => events = val("number").parse().unwrap_or_else(|_| die("bad number")),
-            "--out" => out_dir = val("path"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "options: --protocols a,b,c|all --txns N --seed N \
-                     --bib tiny|scaled|paper --read-latency-us N --events N --out DIR"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown option {other}")),
-        }
+pub fn run(flags: &Flags) {
+    let mut protocols: Vec<String> = flags.list(
+        "protocols",
+        &["taDOM3+", "Node2PL"].map(String::from),
+        "protocols to trace, or `all`",
+    );
+    if protocols.iter().any(|p| p == "all") {
+        protocols = xtc_protocols::ALL_PROTOCOLS.map(String::from).to_vec();
     }
+    let txns: usize = flags.num("txns", 25, "transactions per protocol");
+    let seed: u64 = flags.num("seed", 42, "base RNG seed");
+    let bib_cfg = flags.bib("tiny").1;
+    let read_latency_us: u64 = flags.num("read-latency-us", 10, "simulated page-read latency");
+    let events: usize = flags.num("events", 262_144, "trace ring capacity");
+    let out_dir = flags.text("out", "results", "directory the traces are written to");
+    flags.finish();
 
     std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| die(&format!("mkdir {out_dir}: {e}")));
     for proto in &protocols {

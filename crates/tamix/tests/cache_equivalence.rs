@@ -6,119 +6,28 @@
 //! lock-acquire faults (the failpoint site fires on its eval sequence,
 //! which the cache must not perturb).
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+mod common;
+
+use common::{base_config, run_seeded_mix, MixResult, TXNS};
 use std::sync::Mutex;
-use std::time::Duration;
-use xtc_core::{IsolationLevel, XtcConfig, XtcDb};
-use xtc_tamix::txns::{run_txn, Pacing};
-use xtc_tamix::{bib, BibConfig, TxnKind};
+use xtc_core::XtcConfig;
 
 /// Tests in this file must not interleave when the failpoints feature is
 /// on: the failpoint registry is process-global.
 static GUARD: Mutex<()> = Mutex::new(());
 
-/// The deterministic workload: a fixed cycle of transaction kinds, each
-/// run sequentially with its own per-index seed.
-const MIX: [TxnKind; 5] = [
-    TxnKind::QueryBook,
-    TxnKind::Chapter,
-    TxnKind::LendAndReturn,
-    TxnKind::RenameTopic,
-    TxnKind::DelBook,
-];
-const TXNS: usize = 40;
-
-/// One comparable outcome: commit (with/without work) or the abort's
-/// display string (error enums don't implement Eq across the board).
-fn outcome_of(result: Result<bool, xtc_core::XtcError>) -> String {
-    match result {
-        Ok(true) => "commit".to_string(),
-        Ok(false) => "empty".to_string(),
-        Err(e) => format!("abort: {e}"),
-    }
-}
-
-/// FNV-1a digest over the document in document order: labels, node kind,
-/// names, and text content.
-fn document_digest(db: &XtcDb) -> u64 {
-    let mut nodes = db.store().all_nodes();
-    nodes.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for (id, _) in &nodes {
-        eat(id.to_string().as_bytes());
-        if let Some(name) = db.store().name_of(id) {
-            eat(b"n:");
-            eat(name.as_bytes());
-        }
-        if let Some(text) = db.store().text_of(id) {
-            eat(b"t:");
-            eat(text.as_bytes());
-        }
-    }
-    h
-}
-
-struct RunResult {
-    outcomes: Vec<String>,
-    digest: u64,
-    lock_requests: u64,
-    table_requests: u64,
-    cache_hits: u64,
-}
-
-/// Runs the sequential seeded workload once and returns everything the
-/// equivalence assertions compare. `after_setup` runs between document
-/// generation and the workload — the hook the chaos variant uses to arm
-/// failpoints at the workload only, not at setup.
-fn run_workload_with(
-    protocol: &str,
-    cache: bool,
-    seed: u64,
-    after_setup: impl FnOnce(),
-) -> RunResult {
-    let db = XtcDb::new(XtcConfig {
-        protocol: protocol.to_string(),
-        isolation: IsolationLevel::Repeatable,
-        lock_depth: 4,
-        lock_timeout: Duration::from_secs(5),
+fn config(protocol: &str, cache: bool) -> XtcConfig {
+    XtcConfig {
         lock_cache: cache,
-        ..XtcConfig::default()
-    });
-    bib::generate_into(&db, &BibConfig::tiny());
-    after_setup();
-    let pacing = Pacing {
-        wait_after_operation: Duration::ZERO,
-        ..Pacing::default()
-    };
-    let mut outcomes = Vec::with_capacity(TXNS);
-    for i in 0..TXNS {
-        let kind = MIX[i % MIX.len()];
-        // Fresh RNG per transaction: both arms draw identical targets
-        // regardless of how many random values earlier transactions used.
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(i as u64 * 7919));
-        outcomes.push(outcome_of(run_txn(&db, kind, &BibConfig::tiny(), &mut rng, pacing)));
-    }
-    RunResult {
-        outcomes,
-        digest: document_digest(&db),
-        lock_requests: db.lock_table().requests(),
-        table_requests: db.lock_table().table_requests(),
-        cache_hits: db.lock_table().cache_hits(),
+        ..base_config(protocol)
     }
 }
 
-fn run_workload(protocol: &str, cache: bool, seed: u64) -> RunResult {
-    run_workload_with(protocol, cache, seed, || {})
+fn run_workload(protocol: &str, cache: bool, seed: u64) -> MixResult {
+    run_seeded_mix(config(protocol, cache), seed, TXNS)
 }
 
-fn assert_equivalent(protocol: &str, on: &RunResult, off: &RunResult) {
+fn assert_equivalent(protocol: &str, on: &MixResult, off: &MixResult) {
     assert_eq!(
         on.outcomes, off.outcomes,
         "{protocol}: commit/abort outcomes diverge between cache on and off"
@@ -140,7 +49,7 @@ fn assert_equivalent(protocol: &str, on: &RunResult, off: &RunResult) {
 /// Request-accounting identities. These hold only fault-free: an
 /// injected error returns from `lock_with` after `lock_requests` but
 /// before the hit/table split, so the chaos variant skips them.
-fn assert_accounting(protocol: &str, on: &RunResult, off: &RunResult) {
+fn assert_accounting(protocol: &str, on: &MixResult, off: &MixResult) {
     assert_eq!(
         off.table_requests, off.lock_requests,
         "{protocol}: with the cache off every request reaches the table"
@@ -172,12 +81,15 @@ fn cache_equivalence_all_protocols() {
     );
 }
 
-/// The taDOM protocols re-lock ancestor paths on every operation — the
-/// cache must visibly absorb traffic there, not just stay coherent.
+/// Every protocol of the paper re-locks ancestor paths (or, for the
+/// *-2PL group, the same nodes and levels) on every operation — the
+/// cache must visibly absorb traffic for each of them, not just stay
+/// coherent. Together with the `off.cache_hits == 0` assertion above
+/// this is what `lockperf --check` used to gate.
 #[test]
 fn cache_absorbs_tadom_path_relocking() {
     let _g = GUARD.lock().unwrap();
-    for proto in ["taDOM2", "taDOM2+", "taDOM3", "taDOM3+"] {
+    for proto in xtc_protocols::ALL_PROTOCOLS {
         let on = run_workload(proto, true, 7);
         assert!(
             on.cache_hits > 0,
@@ -196,6 +108,7 @@ fn cache_absorbs_tadom_path_relocking() {
 #[cfg(feature = "failpoints")]
 #[test]
 fn cache_equivalence_under_lock_faults() {
+    use common::run_seeded_mix_with;
     use xtc_failpoint::FailAction;
 
     let _g = GUARD.lock().unwrap();
@@ -204,7 +117,7 @@ fn cache_equivalence_under_lock_faults() {
             // Armed *after* document generation (inside the hook) so the
             // fault budget is spent on the workload, not on setup — and
             // so both arms start the storm at the same eval count.
-            let result = run_workload_with(proto, cache, 0xFA11_0000, || {
+            let result = run_seeded_mix_with(config(proto, cache), 0xFA11_0000, TXNS, || {
                 xtc_failpoint::clear();
                 xtc_failpoint::set_seed(0xFA11);
                 xtc_failpoint::configure("lock.acquire", 0.02, FailAction::Error, Some(24));

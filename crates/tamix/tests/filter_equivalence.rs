@@ -8,100 +8,21 @@
 //! protocol. What may legitimately change is page reads: that is the
 //! point of the filter.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+mod common;
+
+use common::{base_config, run_seeded_mix, MixResult, TXNS};
 use std::sync::Mutex;
-use std::time::Duration;
-use xtc_core::{IsolationLevel, XtcConfig, XtcDb};
-use xtc_tamix::txns::{run_txn, Pacing};
-use xtc_tamix::{bib, BibConfig, TxnKind};
+use xtc_core::{XtcConfig, XtcDb};
+use xtc_tamix::{bib, BibConfig};
 
 /// Serializes tests (shared failpoint/vocabulary-free, but keeps the
 /// file's runs from fighting over cores in CI).
 static GUARD: Mutex<()> = Mutex::new(());
 
-const MIX: [TxnKind; 5] = [
-    TxnKind::QueryBook,
-    TxnKind::Chapter,
-    TxnKind::LendAndReturn,
-    TxnKind::RenameTopic,
-    TxnKind::DelBook,
-];
-const TXNS: usize = 40;
-
-fn outcome_of(result: Result<bool, xtc_core::XtcError>) -> String {
-    match result {
-        Ok(true) => "commit".to_string(),
-        Ok(false) => "empty".to_string(),
-        Err(e) => format!("abort: {e}"),
-    }
-}
-
-/// FNV-1a digest over the document in document order.
-fn document_digest(db: &XtcDb) -> u64 {
-    let mut nodes = db.store().all_nodes();
-    nodes.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for (id, _) in &nodes {
-        eat(id.to_string().as_bytes());
-        if let Some(name) = db.store().name_of(id) {
-            eat(b"n:");
-            eat(name.as_bytes());
-        }
-        if let Some(text) = db.store().text_of(id) {
-            eat(b"t:");
-            eat(text.as_bytes());
-        }
-    }
-    h
-}
-
-struct RunResult {
-    outcomes: Vec<String>,
-    digest: u64,
-    lock_requests: u64,
-    table_requests: u64,
-    filter_probes: u64,
-    filter_negatives: u64,
-}
-
-fn run_workload(protocol: &str, filters: bool, seed: u64) -> RunResult {
-    let mut config = XtcConfig {
-        protocol: protocol.to_string(),
-        isolation: IsolationLevel::Repeatable,
-        lock_depth: 4,
-        lock_timeout: Duration::from_secs(5),
-        ..XtcConfig::default()
-    };
+fn run_workload(protocol: &str, filters: bool, seed: u64) -> MixResult {
+    let mut config = base_config(protocol);
     config.store.index_filters = filters;
-    let db = XtcDb::new(config);
-    bib::generate_into(&db, &BibConfig::tiny());
-    let pacing = Pacing {
-        wait_after_operation: Duration::ZERO,
-        ..Pacing::default()
-    };
-    let mut outcomes = Vec::with_capacity(TXNS);
-    for i in 0..TXNS {
-        let kind = MIX[i % MIX.len()];
-        // Fresh RNG per transaction so both arms draw identical targets.
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(i as u64 * 7919));
-        outcomes.push(outcome_of(run_txn(&db, kind, &BibConfig::tiny(), &mut rng, pacing)));
-    }
-    let pool = db.store().pool_stats();
-    RunResult {
-        outcomes,
-        digest: document_digest(&db),
-        lock_requests: db.lock_table().requests(),
-        table_requests: db.lock_table().table_requests(),
-        filter_probes: pool.filter_probes,
-        filter_negatives: pool.filter_negatives,
-    }
+    run_seeded_mix(config, seed, TXNS)
 }
 
 #[test]

@@ -5,92 +5,18 @@
 //! accounting for every protocol. This is the guard against the layer
 //! ever growing a side effect on execution.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::time::Duration;
-use xtc_core::{IsolationLevel, XtcConfig, XtcDb};
+mod common;
+
+use common::{base_config, run_seeded_mix, MixResult, TXNS};
+use xtc_core::XtcConfig;
 use xtc_obs::ObsConfig;
-use xtc_tamix::txns::{run_txn, Pacing};
-use xtc_tamix::{bib, BibConfig, TxnKind};
 
-const MIX: [TxnKind; 5] = [
-    TxnKind::QueryBook,
-    TxnKind::Chapter,
-    TxnKind::LendAndReturn,
-    TxnKind::RenameTopic,
-    TxnKind::DelBook,
-];
-const TXNS: usize = 40;
-
-fn outcome_of(result: Result<bool, xtc_core::XtcError>) -> String {
-    match result {
-        Ok(true) => "commit".to_string(),
-        Ok(false) => "empty".to_string(),
-        Err(e) => format!("abort: {e}"),
-    }
-}
-
-/// FNV-1a digest over the document in document order (same digest the
-/// cache-equivalence test uses).
-fn document_digest(db: &XtcDb) -> u64 {
-    let mut nodes = db.store().all_nodes();
-    nodes.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for (id, _) in &nodes {
-        eat(id.to_string().as_bytes());
-        if let Some(name) = db.store().name_of(id) {
-            eat(b"n:");
-            eat(name.as_bytes());
-        }
-        if let Some(text) = db.store().text_of(id) {
-            eat(b"t:");
-            eat(text.as_bytes());
-        }
-    }
-    h
-}
-
-struct RunResult {
-    outcomes: Vec<String>,
-    digest: u64,
-    lock_requests: u64,
-    page_reads: u64,
-    events: u64,
-}
-
-fn run_workload(protocol: &str, trace: bool, seed: u64) -> RunResult {
-    let db = XtcDb::new(XtcConfig {
-        protocol: protocol.to_string(),
-        isolation: IsolationLevel::Repeatable,
-        lock_depth: 4,
-        lock_timeout: Duration::from_secs(5),
+fn run_workload(protocol: &str, trace: bool, seed: u64) -> MixResult {
+    let config = XtcConfig {
         obs: trace.then(ObsConfig::default),
-        ..XtcConfig::default()
-    });
-    bib::generate_into(&db, &BibConfig::tiny());
-    let pacing = Pacing {
-        wait_after_operation: Duration::ZERO,
-        ..Pacing::default()
+        ..base_config(protocol)
     };
-    let mut outcomes = Vec::with_capacity(TXNS);
-    for i in 0..TXNS {
-        let kind = MIX[i % MIX.len()];
-        let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(i as u64 * 7919));
-        outcomes.push(outcome_of(run_txn(&db, kind, &BibConfig::tiny(), &mut rng, pacing)));
-    }
-    RunResult {
-        outcomes,
-        digest: document_digest(&db),
-        lock_requests: db.lock_table().requests(),
-        page_reads: db.store().stats().page_reads(),
-        events: db.obs().recorded_events(),
-    }
+    run_seeded_mix(config, seed, TXNS)
 }
 
 #[test]
