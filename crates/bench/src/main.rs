@@ -20,6 +20,7 @@ mod occupancy;
 mod recovery;
 mod repl;
 mod report;
+mod scaling;
 mod server;
 mod storage;
 mod trace;
@@ -36,6 +37,7 @@ usage: xtc-bench <subcommand> [options]   (<subcommand> --help lists its options
   recovery   WAL group-commit throughput and recovery time vs log length
   mvcc       CLUSTER2 long reader: versioned contestants vs the pessimistic field
   occupancy  stored bytes per SPLID and B*-tree occupancy across dist settings
+  scaling    one client vs two on one document vs two on a document each, closed loop
   trace      export per-protocol observability traces of a seeded sequential mix";
 
 /// Nearest-rank percentile of a sorted sample.
@@ -59,6 +61,7 @@ fn main() {
         "recovery" => recovery::run,
         "mvcc" => mvcc::run,
         "occupancy" => occupancy::run,
+        "scaling" => scaling::run,
         "trace" => trace::run,
         "--help" | "-h" => return println!("{USAGE}"),
         other => die(&format!("unknown subcommand {other}")),

@@ -1,0 +1,195 @@
+//! Does a second client on the same document buy anything?
+//!
+//! Three closed-loop rows per mix, zero think time, taDOM3+ at
+//! repeatable read and lock depth 4 (the setting of the repository's
+//! benchmark): `one` client on one document, `two_shared` clients on one
+//! document, `two_separate` clients on a document each. The last row is
+//! what two cores can do when the clients share nothing; the gap between
+//! it and `two_shared` is what sharing one engine costs. With
+//! TAqueryBook only (shared locks, no conflict) all of that gap is the
+//! engine's own synchronisation — counters, latches, the buffer pool's
+//! bookkeeping — and none of it the protocol's.
+//!
+//! Gate (`--check`): on the CLUSTER1 mix `two_shared` must reach 1.3× the
+//! `one` row. The layer ladder of `perf/` cannot show this: its rungs
+//! are single-threaded. The report is checked in as `BENCH_scaling.json`.
+
+use crate::cli::Flags;
+use crate::report::{Report, Row};
+use crate::row;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use xtc_core::{IsolationLevel, RetryPolicy, XtcConfig, XtcDb};
+use xtc_tamix::txns::{run_txn_body, Pacing, TxnKind};
+use xtc_tamix::{sample_kind, BibConfig};
+
+/// The gate: `two_shared / one` on the mix.
+const MIN_SHARED_SPEEDUP: f64 = 1.3;
+/// Discarded before each slice (caches, lazy set-up, thread start).
+const WARMUP: Duration = Duration::from_millis(300);
+/// Each row's window is cut into this many slices, taken in turn with
+/// the other rows' slices; a row reports its median slice. A shared box
+/// drifts by tens of percent within seconds, and a ratio of two rows
+/// measured seconds apart would inherit all of it.
+const SLICES: usize = 5;
+
+#[derive(Default)]
+struct Cell {
+    /// Committed transactions per second, one entry per slice.
+    rates: Vec<f64>,
+    commits: u64,
+    failed: u64,
+}
+
+impl Cell {
+    fn txn_per_s(&self) -> f64 {
+        let mut sorted = self.rates.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted[sorted.len() / 2]
+    }
+}
+
+fn build(bib: &BibConfig) -> Arc<XtcDb> {
+    let db = Arc::new(XtcDb::new(XtcConfig {
+        protocol: "taDOM3+".to_string(),
+        isolation: IsolationLevel::Repeatable,
+        lock_depth: 4,
+        ..XtcConfig::default()
+    }));
+    xtc_tamix::bib::generate_into(&db, bib);
+    db
+}
+
+/// One slice: client `i` works on `dbs[i]` (the same `Arc` twice for a
+/// shared row) until `window` is over; warm-up first, uncounted. Returns
+/// `(commits, failed)` over all clients.
+fn drive(
+    dbs: &[Arc<XtcDb>],
+    bib: &BibConfig,
+    query_only: bool,
+    seed: u64,
+    window: Duration,
+) -> (u64, u64) {
+    let start = Instant::now() + WARMUP;
+    let end = start + window;
+    let per_client: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = dbs
+            .iter()
+            .enumerate()
+            .map(|(i, db)| {
+                scope.spawn(move || {
+                    let client_seed = seed.wrapping_add(7919 * i as u64);
+                    let mut rng = SmallRng::seed_from_u64(client_seed);
+                    let policy = RetryPolicy {
+                        max_attempts: 16,
+                        base: Duration::from_micros(200),
+                        seed: client_seed,
+                        ..RetryPolicy::default()
+                    };
+                    let (mut commits, mut failed) = (0u64, 0u64);
+                    loop {
+                        let kind = if query_only {
+                            TxnKind::QueryBook
+                        } else {
+                            sample_kind(&mut rng)
+                        };
+                        let (result, _) = db.run_retrying(&policy, |txn| {
+                            run_txn_body(txn, kind, bib, &mut rng, Pacing::default())
+                        });
+                        let now = Instant::now();
+                        if now >= end {
+                            return (commits, failed);
+                        }
+                        if now >= start {
+                            match result {
+                                Ok(_) => commits += 1,
+                                Err(_) => failed += 1,
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread panicked"))
+            .collect()
+    });
+    (
+        per_client.iter().map(|c| c.0).sum(),
+        per_client.iter().map(|c| c.1).sum(),
+    )
+}
+
+pub fn run(flags: &Flags) {
+    let mut report = Report::new(flags);
+    report.read_check(flags);
+    let (bib_name, bib) = flags.bib("paper");
+    let window = Duration::from_millis(flags.num(
+        "duration-ms",
+        4000,
+        "measured window per row, cut into interleaved slices",
+    ));
+    let seed: u64 = flags.num("seed", 1, "client stream seed");
+    flags.finish();
+
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let slice = window / SLICES as u32;
+    let (a, b) = (build(&bib), build(&bib));
+    let configs: [(&str, Vec<Arc<XtcDb>>); 3] = [
+        ("one", vec![a.clone()]),
+        ("two_shared", vec![a.clone(), a.clone()]),
+        ("two_separate", vec![a, b]),
+    ];
+    let mut rows: Vec<Row> = Vec::new();
+    let mut mix_speedup = f64::NAN;
+    for (mix, query_only) in [("cluster1", false), ("query_only", true)] {
+        let mut cells: [Cell; 3] = Default::default();
+        for round in 0..SLICES {
+            for (cell, (_, dbs)) in cells.iter_mut().zip(&configs) {
+                let slice_seed = seed.wrapping_add(104_729 * round as u64);
+                let (commits, failed) = drive(dbs, &bib, query_only, slice_seed, slice);
+                cell.rates.push(commits as f64 / slice.as_secs_f64());
+                cell.commits += commits;
+                cell.failed += failed;
+            }
+        }
+        let one = cells[0].txn_per_s();
+        for (cell, (name, _)) in cells.iter().zip(&configs) {
+            let speedup = cell.txn_per_s() / one;
+            if (mix, *name) == ("cluster1", "two_shared") {
+                mix_speedup = speedup;
+            }
+            rows.push(row! {
+                "mix": mix, "clients": *name, "txn_per_s": cell.txn_per_s(),
+                "vs_one": speedup, "commits": cell.commits, "failed": cell.failed,
+            });
+        }
+    }
+
+    report.summary = row! {
+        "bib": &bib_name, "duration_ms": window.as_millis() as u64, "slices": SLICES, "seed": seed,
+        "protocol": "taDOM3+", "isolation": "repeatable", "lock_depth": 4u64,
+        "cluster1_two_shared_vs_one": mix_speedup,
+    };
+    report.table(
+        "cells",
+        &format!(
+            "closed-loop clients on one or two {bib_name} documents \
+             (median of {SLICES} interleaved {} ms slices per row, {cpus} cpus)",
+            slice.as_millis()
+        ),
+        rows,
+    );
+    report.gate(
+        "shared_document_scales",
+        cpus >= 2 && mix_speedup >= MIN_SHARED_SPEEDUP,
+        format!(
+            "two clients on one document ran {mix_speedup:.2}x one client on the CLUSTER1 mix \
+             (need {MIN_SHARED_SPEEDUP}x; {cpus} cpus)"
+        ),
+    );
+    report.finish();
+}

@@ -212,7 +212,7 @@ impl<'db> Transaction<'db> {
     /// isolation level *committed*. Called implicitly by every public
     /// operation.
     fn end_operation(&self) {
-        self.db.lock_table().release_end_of_operation(self.id);
+        self.db.lock_table().release_short(&self.handle);
     }
 
     fn store(&self) -> &xtc_node::DocStore {

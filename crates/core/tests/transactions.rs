@@ -210,6 +210,50 @@ fn isolation_none_acquires_no_locks() {
 }
 
 #[test]
+fn committed_isolation_drops_short_read_locks_after_every_operation() {
+    for name in ALL_PROTOCOLS {
+        let db = db(name);
+        db.load_xml(SAMPLE).unwrap();
+        let t = db.begin_with(IsolationLevel::Committed, 4);
+        // Reads take short locks and each operation ends by releasing
+        // them: nothing is held, here or in the shared table.
+        let b0 = t.element_by_id("b0").unwrap().unwrap();
+        assert_eq!(t.held_locks(), 0, "{name}: after the jump");
+        let title = t.first_child(&b0).unwrap().unwrap();
+        let _ = t.next_sibling(&title).unwrap();
+        let _ = t.subtree(&b0).unwrap();
+        assert_eq!(t.held_locks(), 0, "{name}: after navigation");
+        assert_eq!(db.lock_table().granted_count(), 0, "{name}");
+        // A write takes long locks; a later read's short locks still go.
+        t.set_attribute(&b0, "year", "2007").unwrap();
+        let long = t.held_locks();
+        assert!(long > 0, "{name}: write locks are long");
+        let _ = t.element_children(&b0).unwrap();
+        assert_eq!(t.held_locks(), long, "{name}: only the short locks went");
+        t.commit().unwrap();
+        assert_eq!(db.lock_table().granted_count(), 0, "{name}: locks leaked");
+    }
+}
+
+#[test]
+fn repeatable_isolation_keeps_read_locks_across_operations() {
+    let db = db("taDOM3+");
+    db.load_xml(SAMPLE).unwrap();
+    let t = db.begin();
+    let b0 = t.element_by_id("b0").unwrap().unwrap();
+    let after_jump = t.held_locks();
+    assert!(after_jump > 0, "repeatable reads take long locks");
+    // Ending an operation releases nothing: re-reading what is already
+    // locked leaves the count where it was, new ground only adds to it.
+    let _ = t.node(&b0).unwrap();
+    assert_eq!(t.held_locks(), after_jump);
+    let _ = t.first_child(&b0).unwrap();
+    assert!(t.held_locks() >= after_jump);
+    assert_eq!(db.lock_table().granted_count(), t.held_locks());
+    t.commit().unwrap();
+}
+
+#[test]
 fn conflicting_writers_deadlock_and_one_survives() {
     // Two transactions reading then writing each other's targets must end
     // in a deadlock with exactly one victim (under every protocol that

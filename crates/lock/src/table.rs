@@ -17,7 +17,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xtc_obs::{CostKind, EventKind, Obs};
+use xtc_obs::{CostKind, Counter, EventKind, Obs};
 use xtc_splid::SplId;
 
 /// The four virtual navigation edges whose stability repeatable-read
@@ -223,15 +223,17 @@ pub struct LockTable {
     escalations: AtomicU64,
     /// Total lock requests served (lock-manager overhead metric). Counts
     /// every request, cache hit or not — this is the paper-comparable
-    /// `lock_requests` number of Figs. 7–10.
-    requests: AtomicU64,
+    /// `lock_requests` number of Figs. 7–10. Striped, like the three
+    /// counters below: a cache hit bumps them too, and must not write a
+    /// line another client thread writes.
+    requests: Counter,
     /// Requests that actually reached the shared table (cache misses).
-    table_requests: AtomicU64,
+    table_requests: Counter,
     /// Requests served from the per-transaction lock cache.
-    cache_hits: AtomicU64,
+    cache_hits: Counter,
     /// Requests per (family, mode) — the per-mode histogram of §4.1's
     /// lock-manager metrics.
-    mode_requests: Vec<Vec<AtomicU64>>,
+    mode_requests: Vec<Vec<Counter>>,
     /// Observability handle: lock waits charge their measured duration to
     /// its virtual clock; lock events trace through it when tracing.
     obs: Obs,
@@ -262,7 +264,7 @@ impl LockTable {
             .collect();
         let mode_requests = families
             .iter()
-            .map(|f| (0..f.len()).map(|_| AtomicU64::new(0)).collect())
+            .map(|f| (0..f.len()).map(|_| Counter::default()).collect())
             .collect();
         LockTable {
             shards,
@@ -274,9 +276,9 @@ impl LockTable {
             timeout,
             cache_enabled: true,
             escalations: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            table_requests: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
+            requests: Counter::default(),
+            table_requests: Counter::default(),
+            cache_hits: Counter::default(),
             mode_requests,
             obs: Obs::default(),
             failpoint_scope: xtc_failpoint::GLOBAL,
@@ -353,17 +355,17 @@ impl LockTable {
 
     /// Total lock requests served.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.requests.load()
     }
 
     /// Requests that reached the shared table (cache misses).
     pub fn table_requests(&self) -> u64 {
-        self.table_requests.load(Ordering::Relaxed)
+        self.table_requests.load()
     }
 
     /// Requests served from the per-transaction lock cache.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
+        self.cache_hits.load()
     }
 
     /// Lock requests per mode: `(family name, mode name, count)` for
@@ -372,7 +374,7 @@ impl LockTable {
         let mut out = Vec::new();
         for (f, fam) in self.families.iter().enumerate() {
             for m in 0..fam.len() {
-                let n = self.mode_requests[f][m].load(Ordering::Relaxed);
+                let n = self.mode_requests[f][m].load();
                 if n > 0 {
                     out.push((fam.family(), fam.name(m as ModeIdx).to_string(), n));
                 }
@@ -442,7 +444,7 @@ impl LockTable {
         class: LockClass,
         annex_done: bool,
     ) -> Result<Acquired, LockError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.requests.add(1);
         match xtc_failpoint::eval_in(self.failpoint_scope, "lock.acquire") {
             Some(xtc_failpoint::FailAction::Delay(d)) => std::thread::sleep(d),
             Some(xtc_failpoint::FailAction::Error) => return Err(LockError::Injected),
@@ -450,7 +452,7 @@ impl LockTable {
         }
         if let Some(fam) = self.mode_requests.get(name.family as usize) {
             if let Some(ctr) = fam.get(mode as usize) {
-                ctr.fetch_add(1, Ordering::Relaxed);
+                ctr.add(1);
             }
         }
         if txn.is_aborted() {
@@ -468,7 +470,7 @@ impl LockTable {
                 if held_class >= class {
                     let conv = table.conversion(held, mode);
                     if conv.result == held && conv.annex == Annex::None {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                        self.cache_hits.add(1);
                         self.obs.record_with(txn.id(), || EventKind::LockAcquire {
                             name: Self::name_hash(name),
                             mode: held,
@@ -478,7 +480,7 @@ impl LockTable {
                 }
             }
         }
-        self.table_requests.fetch_add(1, Ordering::Relaxed);
+        self.table_requests.add(1);
 
         let id = txn.id();
         let shard = self.shard(name);
@@ -837,10 +839,24 @@ impl LockTable {
     }
 
     /// Releases the short-class locks of `txn` (end of operation under
-    /// isolation level *committed*).
+    /// isolation level *committed*). By-id convenience over
+    /// [`release_short`](LockTable::release_short).
     pub fn release_end_of_operation(&self, txn: TxnId) {
-        for name in self.registry.take_releasable(txn, false) {
-            self.release_one(txn, &name);
+        if let Some(handle) = self.registry.handle(txn) {
+            self.release_short(&handle);
+        }
+    }
+
+    /// Releases the short-class locks of the transaction behind `txn`.
+    /// Runs at the end of every DOM operation: a transaction holding no
+    /// short lock (every isolation level but *committed*) returns after
+    /// one load of its own handle.
+    pub fn release_short(&self, txn: &TxnHandle) {
+        if txn.short_count() == 0 {
+            return;
+        }
+        for name in txn.take_releasable(false) {
+            self.release_one(txn.id(), &name);
         }
     }
 

@@ -127,6 +127,12 @@ pub struct TxnHandle {
     /// Mirrors `held.len()`; readable by other threads (the `FewestLocks`
     /// victim policy) without taking the per-transaction mutex.
     held_count: AtomicUsize,
+    /// How many entries of `held` are [`LockClass::Short`] — lets the
+    /// end-of-operation release skip the map when there is nothing to
+    /// release. Written under the `held` mutex; `Relaxed` like
+    /// `held_count`: the transaction's own thread records its locks and
+    /// ends its operations, the count publishes nothing to others.
+    short_count: AtomicUsize,
     /// Cache generation; entries from older generations never hit.
     cache_epoch: AtomicU64,
     /// Held locks by name. Per-transaction mutex: uncontended in normal
@@ -141,6 +147,7 @@ impl TxnHandle {
             id,
             aborted: AtomicBool::new(false),
             held_count: AtomicUsize::new(0),
+            short_count: AtomicUsize::new(0),
             cache_epoch: AtomicU64::new(0),
             held: Mutex::new(HashMap::new()),
         }
@@ -172,6 +179,9 @@ impl TxnHandle {
         let mut held = self.held.lock();
         match held.get_mut(name) {
             Some(e) => {
+                if e.class == LockClass::Short && class == LockClass::Long {
+                    self.short_count.fetch_sub(1, Ordering::Relaxed);
+                }
                 e.class = e.class.max(class);
                 e.mode = mode;
                 e.epoch = epoch;
@@ -179,6 +189,9 @@ impl TxnHandle {
             None => {
                 held.insert(name.clone(), HeldLock { mode, class, epoch });
                 self.held_count.store(held.len(), Ordering::Relaxed);
+                if class == LockClass::Short {
+                    self.short_count.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -218,7 +231,13 @@ impl TxnHandle {
             short
         };
         self.held_count.store(held.len(), Ordering::Relaxed);
+        self.short_count.store(0, Ordering::Relaxed);
         names
+    }
+
+    /// Number of short-class locks currently recorded: one atomic load.
+    pub fn short_count(&self) -> usize {
+        self.short_count.load(Ordering::Relaxed)
     }
 
     /// Number of locks currently recorded: one atomic load (used by the
@@ -345,7 +364,9 @@ mod tests {
         let h = r.begin_handle();
         h.record_lock(&name(0), 0, LockClass::Short);
         h.record_lock(&name(1), 0, LockClass::Long);
+        assert_eq!(h.short_count(), 1);
         h.record_lock(&name(0), 0, LockClass::Long); // upgrade
+        assert_eq!(h.short_count(), 0, "an upgraded lock is no longer short");
         let short = h.take_releasable(false);
         assert!(short.is_empty(), "upgraded lock must not release early");
         assert_eq!(h.held_count(), 2);
@@ -359,10 +380,13 @@ mod tests {
         let r = TxnRegistry::new();
         let h = r.begin_handle();
         h.record_lock(&name(0), 0, LockClass::Short);
+        h.record_lock(&name(0), 0, LockClass::Short); // re-acquired, not a second lock
         h.record_lock(&name(1), 0, LockClass::Long);
+        assert_eq!(h.short_count(), 1);
         let short = h.take_releasable(false);
         assert_eq!(short, vec![name(0)]);
         assert_eq!(h.held_count(), 1);
+        assert_eq!(h.short_count(), 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   concurrency they attribute blocking to its cause instead of leaving
 //!   it smeared over elapsed time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use serde::Serialize;
+
+use crate::counter::Counter;
 
 /// The simulated cost sources the virtual clock distinguishes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -223,19 +223,24 @@ impl VirtualTimes {
     }
 }
 
-/// Lock-free run-wide virtual clock: one atomic accumulator per
-/// [`CostKind`]. Charging is a single relaxed `fetch_add`, cheap enough
-/// to stay always-on (tracing is gated separately).
+/// Lock-free run-wide virtual clock: one striped accumulator per
+/// [`CostKind`]. Charging writes only the calling thread's cache line
+/// (and nothing at all for a zero charge), cheap enough to stay
+/// always-on (tracing is gated separately).
 #[derive(Debug, Default)]
 pub struct VirtualClock {
-    counters: [AtomicU64; 8],
+    counters: [Counter; 8],
 }
 
 impl VirtualClock {
     /// Adds `micros` of simulated time to one cost source.
     #[inline]
     pub fn charge(&self, kind: CostKind, micros: u64) {
-        self.counters[kind.index()].fetch_add(micros, Ordering::Relaxed);
+        // A page read at zero configured latency charges 0 µs, about a
+        // thousand times per transaction.
+        if micros != 0 {
+            self.counters[kind.index()].add(micros);
+        }
     }
 
     /// Current totals. Each counter is read individually (relaxed), so a
@@ -243,15 +248,16 @@ impl VirtualClock {
     /// a single global instant — callers diff snapshots around quiesced
     /// windows for exact accounting.
     pub fn snapshot(&self) -> VirtualTimes {
+        let at = |kind: CostKind| self.counters[kind.index()].load();
         VirtualTimes {
-            page_read_us: self.counters[0].load(Ordering::Relaxed),
-            think_us: self.counters[1].load(Ordering::Relaxed),
-            lock_wait_us: self.counters[2].load(Ordering::Relaxed),
-            wal_flush_us: self.counters[3].load(Ordering::Relaxed),
-            backoff_us: self.counters[4].load(Ordering::Relaxed),
-            recovery_us: self.counters[5].load(Ordering::Relaxed),
-            repl_apply_us: self.counters[6].load(Ordering::Relaxed),
-            page_write_us: self.counters[7].load(Ordering::Relaxed),
+            page_read_us: at(CostKind::PageRead),
+            think_us: at(CostKind::Think),
+            lock_wait_us: at(CostKind::LockWait),
+            wal_flush_us: at(CostKind::WalFlush),
+            backoff_us: at(CostKind::RetryBackoff),
+            recovery_us: at(CostKind::Recovery),
+            repl_apply_us: at(CostKind::ReplApply),
+            page_write_us: at(CostKind::PageWrite),
         }
     }
 }

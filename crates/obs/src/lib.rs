@@ -7,7 +7,8 @@
 //!
 //! - The **virtual clock** ([`VirtualClock`], [`CostKind`]) is always
 //!   on: every simulated cost source charges microseconds with one
-//!   relaxed atomic add. Run reports diff [`VirtualTimes`] snapshots, so
+//!   relaxed atomic add to the charging thread's stripe of a
+//!   [`Counter`]. Run reports diff [`VirtualTimes`] snapshots, so
 //!   figure-shape assertions compare deterministic simulated time
 //!   instead of wall-clock.
 //! - The **trace** ([`Event`], [`EventKind`], the ring buffer and the
@@ -23,10 +24,12 @@
 #![warn(missing_docs)]
 
 mod clock;
+mod counter;
 mod hist;
 mod trace;
 
 pub use clock::{CostKind, VirtualClock, VirtualTimes};
+pub use counter::{stripe, CacheLine, Counter, STRIPES};
 pub use hist::{bucket_bound, bucket_of, HistKind, Histogram, HistogramSnapshot, BUCKETS};
 pub use trace::{Event, EventKind, ObsConfig};
 
@@ -111,13 +114,17 @@ impl Obs {
     /// on the same thread are never charged.
     #[inline]
     pub fn charge(&self, kind: CostKind, micros: u64) {
-        self.clock.charge(kind, micros);
-        let engine = self.engine_id();
-        FRAMES.with_borrow_mut(|frames| {
-            if let Some(top) = frames.iter_mut().rev().find(|f| f.engine == engine) {
-                top.vt.add_us(kind, micros);
-            }
-        });
+        // A zero charge (a page read at zero configured latency) moves
+        // no total; only the trace histogram below still samples it.
+        if micros != 0 {
+            self.clock.charge(kind, micros);
+            let engine = self.engine_id();
+            FRAMES.with_borrow_mut(|frames| {
+                if let Some(top) = frames.iter_mut().rev().find(|f| f.engine == engine) {
+                    top.vt.add_us(kind, micros);
+                }
+            });
+        }
         if let Some(trace) = &self.trace {
             let hist = match kind {
                 CostKind::PageRead => Some(HistKind::PageRead),

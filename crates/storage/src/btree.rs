@@ -9,9 +9,9 @@
 //! index (Figure 6b).
 
 use crate::error::StorageError;
+use crate::latch::Latch;
 use crate::page;
 use crate::pool::{PageId, PagePool, StorageStats, NO_PAGE};
-use parking_lot::RwLock;
 
 /// Tuning knobs for a [`BTree`].
 #[derive(Debug, Clone)]
@@ -105,9 +105,11 @@ struct Inner {
 
 /// The B\*-tree. All operations take `&self`; a tree-level reader-writer
 /// latch serializes physical access (see DESIGN.md §5 — logical lock waits
-/// in the experiments dominate page latching by orders of magnitude).
+/// in the experiments dominate page latching by orders of magnitude). The
+/// latch is reader-striped ([`Latch`]): concurrent readers write no
+/// common cache line.
 pub struct BTree {
-    inner: RwLock<Inner>,
+    inner: Latch<Inner>,
     stats: StorageStats,
     config: BTreeConfig,
 }
@@ -157,7 +159,7 @@ impl BTree {
         page::init_leaf(pool.write(root), NO_PAGE, NO_PAGE);
         pool.pin(root);
         BTree {
-            inner: RwLock::new(Inner { pool, root, len: 0 }),
+            inner: Latch::new(Inner { pool, root, len: 0 }),
             stats,
             config,
         }
@@ -756,15 +758,7 @@ fn remove_child_ref(g: &mut Inner, parent: PageId, sep_idx: Option<usize>) {
 fn replace_child(g: &mut Inner, parent: PageId, sep_idx: Option<usize>, new_child: PageId) {
     match sep_idx {
         None => page::set_link(g.pool.write(parent), new_child),
-        Some(i) => {
-            let (key, _) = {
-                let p = g.pool.read(parent);
-                let (k, c) = page::inner_cell(p, i);
-                (k.to_vec(), c)
-            };
-            page::inner_remove_at(g.pool.write(parent), i);
-            page::inner_insert(g.pool.write(parent), &key, new_child);
-        }
+        Some(i) => page::inner_set_child(g.pool.write(parent), i, new_child),
     }
 }
 

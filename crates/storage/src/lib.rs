@@ -16,8 +16,9 @@
 //!   disk-I/O counts of the paper's testbed (see DESIGN.md, substitutions).
 //!
 //! The trees are safe for concurrent use (`&self` API, tree-level
-//! reader-writer latch). Transactional isolation is *not* this layer's
-//! job — the lock manager (`xtc-lock`) serializes logical access.
+//! reader-striped reader-writer latch). Transactional isolation is *not*
+//! this layer's job — the lock manager (`xtc-lock`) serializes logical
+//! access.
 
 #![warn(missing_docs)]
 
@@ -25,6 +26,7 @@ mod backend;
 mod btree;
 mod cuckoo;
 mod error;
+mod latch;
 mod page;
 mod pool;
 mod vocab;

@@ -373,6 +373,14 @@ pub fn inner_cell(p: &[u8], i: usize) -> (&[u8], PageId) {
     (key, child)
 }
 
+/// Repoints inner cell `i` at `child`, in place: the separator and the
+/// cell footprint stay as they are, so no free space is needed.
+pub fn inner_set_child(p: &mut [u8], i: usize, child: PageId) {
+    let off = slot(p, i);
+    let klen = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
+    p[off + 2 + klen..off + 2 + klen + 4].copy_from_slice(&child.to_le_bytes());
+}
+
 /// Child page to descend into for `key`: the child of the greatest
 /// separator `<= key`, or the leftmost child. Returns (child, separator
 /// slot index or None for leftmost).
@@ -403,6 +411,9 @@ pub fn inner_fits(p: &[u8], key: &[u8]) -> bool {
 
 /// Inserts separator `key` → `child` keeping separator order.
 pub fn inner_insert(p: &mut [u8], key: &[u8], child: PageId) {
+    // The cell is written below `cell_start`: without room it would run
+    // into the slot directory, and the page would be silently corrupt.
+    assert!(inner_fits(p, key), "inner_insert without room");
     let n = count(p);
     let mut i = 0;
     while i < n && inner_cell(p, i).0 < key {
@@ -440,7 +451,6 @@ pub fn inner_entries(p: &[u8]) -> Vec<(Vec<u8>, PageId)> {
 pub fn inner_rebuild(p: &mut [u8], leftmost: PageId, entries: &[(Vec<u8>, PageId)]) {
     init_inner(p, leftmost);
     for (k, c) in entries {
-        debug_assert!(inner_fits(p, k));
         inner_insert(p, k, *c);
     }
 }

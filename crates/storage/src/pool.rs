@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use xtc_failpoint::ScopeId;
-use xtc_obs::{CostKind, EventKind, Obs};
+use xtc_obs::{CacheLine, CostKind, Counter, EventKind, Obs, STRIPES};
 
 use crate::backend::{FileBackend, PageBackendConfig};
 
@@ -148,13 +148,37 @@ pub struct StorageStats {
     inner: Arc<StatsInner>,
 }
 
+/// What every page access reads and normal operation never writes, on a
+/// cache line of its own: next to the counters below, each page write
+/// of one client would cost the others a miss on their next page read.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+struct Ambient {
+    /// Raised by a crash failpoint at a site with no error path (e.g.
+    /// mid-split); the transaction layer checks it after every mutation.
+    poisoned: AtomicBool,
+    /// Observability handle: page reads charge their simulated latency to
+    /// the virtual clock here, and page events go to the trace (if on).
+    obs: Obs,
+    /// Failpoint scope of the owning engine: storage fault sites
+    /// (`store.page_read`, `store.page_read_io`, `pool.evict_write`,
+    /// `btree.split`) evaluate in it, so chaos can fault one document in
+    /// a catalog without touching its neighbors. Defaults to
+    /// [`xtc_failpoint::GLOBAL`].
+    scope: ScopeId,
+}
+
 #[derive(Debug, Default)]
 struct StatsInner {
-    page_reads: AtomicU64,
+    ambient: Ambient,
+    /// Striped, like `buffer_hits`: both are bumped on the buffer-hit
+    /// path of every client thread, through one handle shared by a
+    /// document's three trees.
+    page_reads: Counter,
     page_writes: AtomicU64,
     page_allocs: AtomicU64,
     page_frees: AtomicU64,
-    buffer_hits: AtomicU64,
+    buffer_hits: Counter,
     buffer_misses: AtomicU64,
     page_flushes: AtomicU64,
     evictions: AtomicU64,
@@ -182,18 +206,6 @@ struct StatsInner {
     /// by checkpoints/writeback; `0` = nothing durable or no WAL). The
     /// eviction path reads it to pick WAL-safe forced-writeback victims.
     durable_lsn: AtomicU64,
-    /// Raised by a crash failpoint at a site with no error path (e.g.
-    /// mid-split); the transaction layer checks it after every mutation.
-    poisoned: AtomicBool,
-    /// Observability handle: page reads charge their simulated latency to
-    /// the virtual clock here, and page events go to the trace (if on).
-    obs: Obs,
-    /// Failpoint scope of the owning engine: storage fault sites
-    /// (`store.page_read`, `store.page_read_io`, `pool.evict_write`,
-    /// `btree.split`) evaluate in it, so chaos can fault one document in
-    /// a catalog without touching its neighbors. Defaults to
-    /// [`xtc_failpoint::GLOBAL`].
-    scope: ScopeId,
 }
 
 impl StorageStats {
@@ -208,8 +220,11 @@ impl StorageStats {
     pub fn with_obs_scoped(obs: Obs, scope: ScopeId) -> StorageStats {
         StorageStats {
             inner: Arc::new(StatsInner {
-                obs,
-                scope,
+                ambient: Ambient {
+                    obs,
+                    scope,
+                    ..Ambient::default()
+                },
                 ..StatsInner::default()
             }),
         }
@@ -217,17 +232,17 @@ impl StorageStats {
 
     /// The observability handle these stats report into.
     pub fn obs(&self) -> &Obs {
-        &self.inner.obs
+        &self.inner.ambient.obs
     }
 
     /// The failpoint scope storage fault sites evaluate in.
     pub fn failpoint_scope(&self) -> ScopeId {
-        self.inner.scope
+        self.inner.ambient.scope
     }
 
     /// Pages read (pinned for read access).
     pub fn page_reads(&self) -> u64 {
-        self.inner.page_reads.load(Ordering::Relaxed)
+        self.inner.page_reads.load()
     }
 
     /// Pages written (pinned for write access).
@@ -299,16 +314,16 @@ impl StorageStats {
     /// a site with no error path). The engine checks this after each
     /// mutation and converts it into a WAL crash.
     pub fn poison(&self) {
-        self.inner.poisoned.store(true, Ordering::Relaxed);
+        self.inner.ambient.poisoned.store(true, Ordering::Relaxed);
     }
 
     /// Whether [`StorageStats::poison`] was called.
     pub fn is_poisoned(&self) -> bool {
-        self.inner.poisoned.load(Ordering::Relaxed)
+        self.inner.ambient.poisoned.load(Ordering::Relaxed)
     }
 
     pub(crate) fn count_read(&self) {
-        self.inner.page_reads.fetch_add(1, Ordering::Relaxed);
+        self.inner.page_reads.add(1);
     }
 
     pub(crate) fn count_write(&self) {
@@ -324,7 +339,7 @@ impl StorageStats {
     }
 
     pub(crate) fn count_hit(&self) {
-        self.inner.buffer_hits.fetch_add(1, Ordering::Relaxed);
+        self.inner.buffer_hits.add(1);
     }
 
     pub(crate) fn count_miss(&self) {
@@ -408,31 +423,12 @@ struct Frame {
     pins: u32,
     /// In the buffer? Atomic because reads (`&self`) fault pages in.
     resident: AtomicBool,
-    /// LRU clock value of the last access.
-    last_use: AtomicU64,
     /// LRU-2 history: start of the current uncorrelated reference burst
     /// (`0` = never referenced).
     hist1: AtomicU64,
     /// LRU-2 history: start of the previous uncorrelated burst (`0` =
     /// referenced at most once — infinite backward K-distance).
     hist2: AtomicU64,
-}
-
-impl Frame {
-    /// Eviction-priority key: frames are evicted in ascending key order.
-    /// Under LRU-2 the key is (penultimate reference, last use): pages
-    /// seen in only one burst (`hist2 == 0`) sort before every
-    /// twice-referenced page — a sequential scan cannot displace the hot
-    /// set. Under clean-LRU it degenerates to last-use order.
-    fn evict_key(&self, policy: EvictPolicy) -> (u64, u64) {
-        match policy {
-            EvictPolicy::CleanLru => (0, self.last_use.load(Ordering::Relaxed)),
-            EvictPolicy::Lru2 { .. } => (
-                self.hist2.load(Ordering::Relaxed),
-                self.last_use.load(Ordering::Relaxed),
-            ),
-        }
-    }
 }
 
 /// Bounded memory of recently evicted pages' LRU-2 histories. A page
@@ -476,6 +472,15 @@ impl GhostList {
     }
 }
 
+/// Ticks a thread reserves from the pool's LRU clock at a time. One
+/// shared read-modify-write per batch instead of one per page access
+/// (at 16, that word still cost two clients on one document a tenth of
+/// their read throughput). The price: clocks of concurrent threads run
+/// up to a batch apart, so a gap measured *across* threads — taken only
+/// when a thread leaves its own burst window, see [`PagePool::touch`] —
+/// is blurred by that much. A single thread's clock is exact.
+const TICK_BATCH: u64 = 64;
+
 /// A pool of fixed-size pages with a freelist and (optionally) a bounded
 /// buffer. Not itself thread-safe: the owning B-tree wraps it (together
 /// with the tree root) in its latch.
@@ -507,8 +512,21 @@ pub struct PagePool {
     ghost_cap: usize,
     /// Currently resident frames (atomic: reads fault pages in).
     resident: AtomicUsize,
-    /// LRU clock.
-    tick: AtomicU64,
+    /// LRU clock: the last tick reserved. Threads reserve
+    /// [`TICK_BATCH`] ticks at a time (see [`PagePool::next_tick`]). On
+    /// a line of its own: the fields around it are read on every access.
+    tick: CacheLine<AtomicU64>,
+    /// Per-stripe share of the LRU clock: the last tick the stripe's
+    /// thread handed out of its reserved batch.
+    local_ticks: [CacheLine<AtomicU64>; STRIPES],
+    /// LRU clock value of each page's last access, one vector per stripe,
+    /// indexed by page id (`0` = not accessed through this stripe). A
+    /// thread records its accesses in its own stripe's vector only; a
+    /// page's last use is the maximum over the stripes
+    /// ([`PagePool::last_use`]). Kept out of [`Frame`] so that a thread
+    /// re-reading a page inside its own burst window neither reads nor
+    /// writes a word another thread writes.
+    last_use: [Vec<AtomicU64>; STRIPES],
     /// Hit/miss counting window: see [`PoolConfig::burst_ticks`].
     burst_ticks: u64,
 }
@@ -576,7 +594,10 @@ impl PagePool {
             ghosts: Mutex::new(GhostList::default()),
             ghost_cap,
             resident: AtomicUsize::new(0),
-            tick: AtomicU64::new(0),
+            tick: CacheLine::default(),
+            local_ticks: Default::default(),
+            // Index 0 is unused, as in `frames`.
+            last_use: std::array::from_fn(|_| vec![AtomicU64::new(0)]),
             burst_ticks: cfg.burst_ticks,
         }
     }
@@ -600,7 +621,7 @@ impl PagePool {
     pub fn alloc(&mut self) -> PageId {
         self.evict_to_budget(1);
         self.stats.count_alloc();
-        let t = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let t = self.next_tick();
         let frame = Frame {
             data: vec![0u8; self.page_size].into_boxed_slice(),
             page_lsn: 0,
@@ -608,7 +629,6 @@ impl PagePool {
             persisted: false,
             pins: 0,
             resident: AtomicBool::new(true),
-            last_use: AtomicU64::new(t),
             hist1: AtomicU64::new(t),
             hist2: AtomicU64::new(0),
         };
@@ -618,12 +638,40 @@ impl PagePool {
             id
         } else {
             self.frames.push(Some(frame));
+            for stripe in &mut self.last_use {
+                stripe.push(AtomicU64::new(0));
+            }
             (self.frames.len() - 1) as PageId
         };
         // A reused id must not resume the previous tenant's history (or
         // ever read its stale file copy: `persisted` starts false).
         self.ghosts.lock().forget(id);
+        let me = xtc_obs::stripe();
+        for (s, stripe) in self.last_use.iter_mut().enumerate() {
+            *stripe[id as usize].get_mut() = if s == me { t } else { 0 };
+        }
         id
+    }
+
+    /// LRU clock value of a page's last access by any thread.
+    fn last_use(&self, id: usize) -> u64 {
+        self.last_use
+            .iter()
+            .map(|stripe| stripe[id].load(Ordering::Relaxed))
+            .max()
+            .expect("at least one stripe")
+    }
+
+    /// Eviction-priority key: frames are evicted in ascending key order.
+    /// Under LRU-2 the key is (penultimate reference, last use): pages
+    /// seen in only one burst (`hist2 == 0`) sort before every
+    /// twice-referenced page — a sequential scan cannot displace the hot
+    /// set. Under clean-LRU it degenerates to last-use order.
+    fn evict_key(&self, id: usize, frame: &Frame) -> (u64, u64) {
+        match self.policy {
+            EvictPolicy::CleanLru => (0, self.last_use(id)),
+            EvictPolicy::Lru2 { .. } => (frame.hist2.load(Ordering::Relaxed), self.last_use(id)),
+        }
     }
 
     /// Frees a page back to the pool.
@@ -639,8 +687,36 @@ impl PagePool {
         self.free.push(id);
     }
 
-    /// Touches a frame's access metadata: bumps the LRU clock, maintains
-    /// the LRU-2 reference history, and counts a buffer hit or
+    /// A thread that itself touched a resident page at most this many
+    /// ticks ago is inside the page's current burst whatever other
+    /// threads did since: no hit to count, no history to shift.
+    fn own_burst_window(&self) -> u64 {
+        match self.policy {
+            EvictPolicy::CleanLru => self.burst_ticks,
+            EvictPolicy::Lru2 { correlated_ticks } => self.burst_ticks.min(correlated_ticks),
+        }
+    }
+
+    /// The next LRU-clock tick. The calling thread's stripe hands out
+    /// the ticks of a reserved batch one by one and reserves the next
+    /// batch when it runs out, so a page access writes the shared clock
+    /// word once in [`TICK_BATCH`] times. A single thread sees exactly
+    /// the sequence 1, 2, 3, … of an unbatched clock. Threads sharing a
+    /// stripe may hand out a tick twice, which only ties two accesses.
+    fn next_tick(&self) -> u64 {
+        let local = &self.local_ticks[xtc_obs::stripe()].0;
+        let last = local.load(Ordering::Relaxed);
+        let t = if last.is_multiple_of(TICK_BATCH) {
+            self.tick.0.fetch_add(TICK_BATCH, Ordering::Relaxed) + 1
+        } else {
+            last + 1
+        };
+        local.store(t, Ordering::Relaxed);
+        t
+    }
+
+    /// Touches a frame's access metadata: advances the LRU clock,
+    /// maintains the LRU-2 reference history, and counts a buffer hit or
     /// (fault-in) miss. Misses count per fault-in; hits count once per
     /// *uncorrelated burst* — a transaction hammering one resident page
     /// with node-grain reads is a single logical reference (the fix-level
@@ -648,9 +724,32 @@ impl PagePool {
     /// On a miss: the ghost list may resume the page's evicted history,
     /// a file backend re-reads (and CRC-verifies) the persisted copy,
     /// and the configured miss latency is charged.
+    ///
+    /// A thread re-touching a resident page inside its own burst window
+    /// writes one word of its own stripe and nothing else; any other hit
+    /// writes frame words only where their value changes — the history
+    /// at a burst boundary, `resident` never.
     fn touch(&self, id: PageId, frame: &Frame) {
-        let t = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let prev = frame.last_use.swap(t, Ordering::Relaxed);
+        let t = self.next_tick();
+        let mine = &self.last_use[xtc_obs::stripe()][id as usize];
+        let own_prev = mine.load(Ordering::Relaxed);
+        let same_burst = own_prev != 0
+            && t.saturating_sub(own_prev) <= self.own_burst_window()
+            && frame.resident.load(Ordering::Relaxed);
+        // Without that shortcut the gap is taken from the page's last
+        // access by any thread. A concurrent thread's batch may be ahead
+        // of ours: the gap then reads as zero.
+        let prev = if same_burst { own_prev } else { self.last_use(id as usize) };
+        // Threads sharing a stripe may be a batch apart: the clock never
+        // runs backwards on a page.
+        if t > own_prev {
+            mine.store(t, Ordering::Relaxed);
+        }
+        if same_burst {
+            // The page's last access is at least as recent as ours, so
+            // this one continues its burst: no hit, no history shift.
+            return;
+        }
         if let EvictPolicy::Lru2 { correlated_ticks } = self.policy {
             let h1 = frame.hist1.load(Ordering::Relaxed);
             if h1 == 0 {
@@ -663,7 +762,9 @@ impl PagePool {
             }
             // else: same burst (correlated re-reference) — no shift.
         }
-        if frame.resident.swap(true, Ordering::Relaxed) {
+        // Load before swap: only a fault-in writes the flag. Two threads
+        // faulting the same page in race on the swap; one counts the miss.
+        if frame.resident.load(Ordering::Relaxed) || frame.resident.swap(true, Ordering::Relaxed) {
             if prev == 0 || t.saturating_sub(prev) > self.burst_ticks {
                 self.stats.count_hit();
             }
@@ -812,7 +913,7 @@ impl PagePool {
                 .enumerate()
                 .filter_map(|(i, f)| f.as_ref().map(|f| (i, f)))
                 .filter(|(_, f)| f.resident.load(Ordering::Relaxed) && !f.dirty && f.pins == 0)
-                .min_by_key(|(_, f)| f.evict_key(self.policy))
+                .min_by_key(|(i, f)| self.evict_key(*i, f))
                 .map(|(i, _)| i);
             match victim {
                 Some(i) => {
@@ -876,7 +977,7 @@ impl PagePool {
                     && f.pins == 0
                     && f.page_lsn <= durable
             })
-            .map(|(i, f)| (i, f.evict_key(self.policy)))
+            .map(|(i, f)| (i, self.evict_key(i, f)))
             .collect();
         candidates.sort_by_key(|&(_, key)| key);
         for &(i, _) in candidates.iter().take(FORCED_WRITEBACK_TRIES) {
@@ -1007,7 +1108,7 @@ impl PagePool {
     /// Buffer-manager snapshot for this pool.
     pub fn pool_stats(&self) -> PoolStats {
         PoolStats {
-            hits: self.stats.inner.buffer_hits.load(Ordering::Relaxed),
+            hits: self.stats.inner.buffer_hits.load(),
             misses: self.stats.inner.buffer_misses.load(Ordering::Relaxed),
             flushes: self.stats.inner.page_flushes.load(Ordering::Relaxed),
             evictions: self.stats.inner.evictions.load(Ordering::Relaxed),

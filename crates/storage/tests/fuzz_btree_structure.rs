@@ -45,8 +45,41 @@ fn check(t: &BTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, step: usize) {
     assert_eq!(seen, model.len(), "step {step}: backward count");
 }
 
+/// Uniform draw from `0..n`: the only randomness the fuzz loop needs, so
+/// the same loop runs from `rand` (whose streams differ between the
+/// published crate and offline stand-ins) and from the in-file generator
+/// of the pinned regression below.
+trait Draw {
+    fn below(&mut self, n: usize) -> usize;
+}
+
+impl Draw for SmallRng {
+    fn below(&mut self, n: usize) -> usize {
+        self.random_range(0..n)
+    }
+}
+
+/// SplitMix64 with a multiply-shift range reduction: the same sequence
+/// in every environment.
+struct SplitMix64(u64);
+
+impl Draw for SplitMix64 {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        ((z as u128 * n as u128) >> 64) as usize
+    }
+}
+
 fn run_fuzz(seed: u64, page_size: usize, ops: usize, check_every: usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
+    fuzz_loop(&mut rng, seed.is_multiple_of(2), page_size, ops, check_every);
+}
+
+fn fuzz_loop(rng: &mut impl Draw, wide: bool, page_size: usize, ops: usize, check_every: usize) {
     let t = BTree::with_config(
         BTreeConfig {
             page_size,
@@ -56,14 +89,13 @@ fn run_fuzz(seed: u64, page_size: usize, ops: usize, check_every: usize) {
         StorageStats::default(),
     );
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-    let wide = seed.is_multiple_of(2);
-    let key_space = 4000u32;
+    let key_space = 4000usize;
     for step in 0..ops {
-        match rng.random_range(0..10) {
+        match rng.below(10) {
             0..=4 => {
-                let k = key(rng.random_range(0..key_space), wide);
-                let vlen = rng.random_range(0..(page_size / 8));
-                let v = vec![rng.random::<u8>(); vlen];
+                let k = key(rng.below(key_space) as u32, wide);
+                let vlen = rng.below(page_size / 8);
+                let v = vec![rng.below(256) as u8; vlen];
                 assert_eq!(
                     t.insert(&k, &v).unwrap(),
                     model.insert(k, v),
@@ -71,14 +103,14 @@ fn run_fuzz(seed: u64, page_size: usize, ops: usize, check_every: usize) {
                 );
             }
             5..=6 => {
-                let k = key(rng.random_range(0..key_space), wide);
+                let k = key(rng.below(key_space) as u32, wide);
                 assert_eq!(t.remove(&k), model.remove(&k), "step {step}");
             }
             7..=8 => {
                 // Range delete (the subtree-deletion path).
-                let a = rng.random_range(0..key_space);
-                let b = (a + rng.random_range(0..200)).min(key_space);
-                let (lo, hi) = (key(a, wide), key(b, wide));
+                let a = rng.below(key_space);
+                let b = (a + rng.below(200)).min(key_space);
+                let (lo, hi) = (key(a as u32, wide), key(b as u32, wide));
                 if lo >= hi {
                     // Wide keys sort lexicographically, not numerically;
                     // an inverted/empty range must remove nothing.
@@ -100,8 +132,8 @@ fn run_fuzz(seed: u64, page_size: usize, ops: usize, check_every: usize) {
             }
             _ => {
                 // Value overwrite with a bigger value (rebuild path).
-                if let Some(k) = model.keys().nth(rng.random_range(0..model.len().max(1)).min(model.len().saturating_sub(1))).cloned() {
-                    let v = vec![0xAB; rng.random_range(0..(page_size / 6))];
+                if let Some(k) = model.keys().nth(rng.below(model.len().max(1))).cloned() {
+                    let v = vec![0xAB; rng.below(page_size / 6)];
                     assert_eq!(t.insert(&k, &v).unwrap(), model.insert(k, v), "step {step}");
                 }
             }
@@ -117,6 +149,19 @@ fn run_fuzz(seed: u64, page_size: usize, ops: usize, check_every: usize) {
 fn fuzz_small_pages() {
     for seed in 0..6 {
         run_fuzz(seed, 512, 6000, 250);
+    }
+}
+
+/// Pinned regression: 512-byte pages and wide keys drive range deletes
+/// that empty an inner page under a parent whose free space earlier
+/// separator removals had used up as dead cells; splicing the grandchild
+/// in used to re-insert the separator without asking for room and wrote
+/// the cell over the parent's slot directory. Each of these seeds
+/// panicked or lost keys before the fix.
+#[test]
+fn splice_into_full_parent_keeps_slot_directory() {
+    for seed in [0, 2, 14] {
+        fuzz_loop(&mut SplitMix64(seed), true, 512, 6000, 250);
     }
 }
 
