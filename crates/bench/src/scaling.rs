@@ -10,7 +10,7 @@
 //! engine's own synchronisation — counters, latches, the buffer pool's
 //! bookkeeping — and none of it the protocol's.
 //!
-//! Gate (`--check`): on the CLUSTER1 mix `two_shared` must reach 1.3× the
+//! Gate (`--check`): on the CLUSTER1 mix `two_shared` must reach 1.5× the
 //! `one` row. The layer ladder of `perf/` cannot show this: its rungs
 //! are single-threaded. The report is checked in as `BENCH_scaling.json`.
 
@@ -26,7 +26,7 @@ use xtc_tamix::txns::{run_txn_body, Pacing, TxnKind};
 use xtc_tamix::{sample_kind, BibConfig};
 
 /// The gate: `two_shared / one` on the mix.
-const MIN_SHARED_SPEEDUP: f64 = 1.3;
+const MIN_SHARED_SPEEDUP: f64 = 1.5;
 /// Discarded before each slice (caches, lazy set-up, thread start).
 const WARMUP: Duration = Duration::from_millis(300);
 /// Each row's window is cut into this many slices, taken in turn with

@@ -367,17 +367,10 @@ impl XtcDb {
         let _log = handle.log_mutex.lock();
         let mut active: Vec<TxnId> = handle.active.lock().iter().copied().collect();
         active.sort_unstable();
-        let snapshot = self
-            .store
-            .all_nodes()
-            .into_iter()
-            .map(|(id, data)| {
-                (
-                    xtc_splid::encode(&id),
-                    recovery::data_to_payload(self.store.vocab(), &data),
-                )
-            })
-            .collect();
+        let mut snapshot = Vec::with_capacity(self.store.node_count());
+        self.store.for_each_node(|key, data| {
+            snapshot.push((key.to_vec(), recovery::data_to_payload(self.store.vocab(), &data)));
+        });
         let lsn = handle
             .wal
             .append(&RecordBody::Checkpoint { active, snapshot })?;

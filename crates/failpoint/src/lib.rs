@@ -6,7 +6,9 @@
 //! `"btree.split"`, `"txn.commit"`, `"wal.commit"`, `"wal.flush"`) and
 //! ask [`eval`] whether a fault should fire; tests arm sites with
 //! [`configure`] (probability, action, optional hit budget) under a
-//! global seed set by [`set_seed`].
+//! global seed set by [`set_seed`]. `"btree.split"` is evaluated when a
+//! leaf page splits, not on every leaf edit: a scenario that arms it
+//! needs pages small enough to split.
 //!
 //! ## Engine scopes
 //!

@@ -251,19 +251,22 @@ impl DocStore {
         self.doc.occupancy()
     }
 
-    /// Every stored node in document order — the checkpoint snapshot and
-    /// the byte-identity witness of the undo property test.
+    /// Streams every stored node in document order as `(encoded SPLID,
+    /// record)` — the tree's own key, so a caller that wants the key bytes
+    /// (the checkpoint snapshot) decodes and re-encodes nothing.
+    pub fn for_each_node(&self, mut f: impl FnMut(&[u8], NodeData)) {
+        self.doc.for_each_in_range(b"", &[0xFF; 160], |k, v| {
+            f(k, NodeData::decode(v).expect("corrupt record"));
+            true
+        });
+    }
+
+    /// Every stored node in document order — the byte-identity witness of
+    /// the undo property test and the crash tests.
     pub fn all_nodes(&self) -> Vec<(SplId, NodeData)> {
-        self.doc
-            .scan_range(b"", &[0xFF; 160])
-            .into_iter()
-            .map(|(k, v)| {
-                (
-                    xtc_splid::decode(&k).expect("corrupt key"),
-                    NodeData::decode(&v).expect("corrupt record"),
-                )
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.node_count());
+        self.for_each_node(|k, data| out.push((xtc_splid::decode(k).expect("corrupt key"), data)));
+        out
     }
 
     /// Cross-checks the element index and ID index against the document

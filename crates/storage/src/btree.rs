@@ -114,18 +114,10 @@ pub struct BTree {
     config: BTreeConfig,
 }
 
-/// Result of a leaf/subtree mutation. Inserts *and deletes* can split a
-/// page: removing an interior slot shifts every later restart position,
-/// and the re-encoded page may exceed capacity when formerly front-coded
-/// keys land on restart points (full keys).
-enum MutOutcome {
-    Done(Option<Vec<u8>>),
-    Split {
-        sep: Vec<u8>,
-        right: PageId,
-        old: Option<Vec<u8>>,
-    },
-}
+/// What an insert below some page hands its parent: the value it
+/// replaced, and — when the page split — the separator and new right
+/// sibling the parent has to take in.
+type Inserted = (Option<Vec<u8>>, Option<(Vec<u8>, PageId)>);
 
 impl BTree {
     /// Creates an empty tree with default configuration.
@@ -216,13 +208,10 @@ impl BTree {
         }
         let mut g = self.inner.write();
         let root = g.root;
-        let old = match insert_rec(&mut g, root, key, val) {
-            MutOutcome::Done(old) => old,
-            MutOutcome::Split { sep, right, old } => {
-                grow_root(&mut g, sep, right);
-                old
-            }
-        };
+        let (old, split) = insert_rec(&mut g, root, key, val);
+        if let Some((sep, right)) = split {
+            grow_root(&mut g, sep, right);
+        }
         if old.is_none() {
             g.len += 1;
         }
@@ -233,16 +222,10 @@ impl BTree {
     pub fn remove(&self, key: &[u8]) -> Option<Vec<u8>> {
         let mut g = self.inner.write();
         let root = g.root;
-        let old = match delete_rec(&mut g, root, key)? {
-            MutOutcome::Done(old) => old,
-            MutOutcome::Split { sep, right, old } => {
-                grow_root(&mut g, sep, right);
-                old
-            }
-        };
+        let old = delete_rec(&mut g, root, key)?;
         g.len -= 1;
         collapse_root(&mut g);
-        old
+        Some(old)
     }
 
     /// Smallest entry with key strictly greater than `key`.
@@ -381,17 +364,9 @@ impl BTree {
         let mut removed = 0;
         for k in &keys {
             let root = g.root;
-            match delete_rec(&mut g, root, k) {
-                None => {}
-                Some(MutOutcome::Done(_)) => {
-                    g.len -= 1;
-                    removed += 1;
-                }
-                Some(MutOutcome::Split { sep, right, .. }) => {
-                    grow_root(&mut g, sep, right);
-                    g.len -= 1;
-                    removed += 1;
-                }
+            if delete_rec(&mut g, root, k).is_some() {
+                g.len -= 1;
+                removed += 1;
             }
             collapse_root(&mut g);
         }
@@ -438,13 +413,14 @@ fn visit_pages(pool: &PagePool, page_id: PageId, rep: &mut OccupancyReport) {
     let p = pool.read(page_id);
     rep.pages += 1;
     rep.total_bytes += p.len();
-    rep.used_bytes += page::used_bytes(p);
     if page::page_type(p) == page::TYPE_LEAF {
+        rep.used_bytes += page::leaf_live_bytes(p);
         rep.leaf_pages += 1;
         let (stored, logical) = page::leaf_key_byte_stats(p);
         rep.key_bytes_stored += stored;
         rep.key_bytes_logical += logical;
     } else {
+        rep.used_bytes += page::used_bytes(p);
         rep.inner_pages += 1;
         let children: Vec<PageId> = std::iter::once(page::link(p))
             .chain(page::inner_entries(p).into_iter().map(|(_, c)| c))
@@ -497,13 +473,18 @@ fn inner_add_child(g: &mut Inner, cur: PageId, sep: Vec<u8>, right: PageId) -> O
         page::inner_insert(g.pool.write(cur), &sep, right);
         return None;
     }
-    // Split this inner page.
+    // Short of room. Removed separators leave dead cells behind: lay the
+    // live ones out afresh, and split only when they really do not fit.
     let leftmost = page::link(g.pool.read(cur));
     let mut entries = page::inner_entries(g.pool.read(cur));
     let at = entries
         .binary_search_by(|(k, _)| k.as_slice().cmp(&sep))
         .unwrap_err();
     entries.insert(at, (sep, right));
+    if page::inner_size(&entries) <= g.pool.page_size() {
+        page::inner_rebuild(g.pool.write(cur), leftmost, &entries);
+        return None;
+    }
     let mid = entries.len() / 2;
     let (promoted, right_leftmost) = (entries[mid].0.clone(), entries[mid].1);
     let new_right = g.pool.alloc();
@@ -512,72 +493,34 @@ fn inner_add_child(g: &mut Inner, cur: PageId, sep: Vec<u8>, right: PageId) -> O
     Some((promoted, new_right))
 }
 
-fn insert_rec(g: &mut Inner, cur: PageId, key: &[u8], val: &[u8]) -> MutOutcome {
+fn insert_rec(g: &mut Inner, cur: PageId, key: &[u8], val: &[u8]) -> Inserted {
     let p = g.pool.read(cur);
     if page::page_type(p) == page::TYPE_LEAF {
         return leaf_insert(g, cur, key, val);
     }
     let (child, _) = page::inner_descend(p, key);
-    match insert_rec(g, child, key, val) {
-        MutOutcome::Done(old) => MutOutcome::Done(old),
-        MutOutcome::Split { sep, right, old } => match inner_add_child(g, cur, sep, right) {
-            None => MutOutcome::Done(old),
-            Some((promoted, new_right)) => MutOutcome::Split {
-                sep: promoted,
-                right: new_right,
-                old,
-            },
-        },
-    }
+    let (old, split) = insert_rec(g, child, key, val);
+    (old, split.and_then(|(sep, right)| inner_add_child(g, cur, sep, right)))
 }
 
-fn leaf_insert(g: &mut Inner, cur: PageId, key: &[u8], val: &[u8]) -> MutOutcome {
+fn leaf_insert(g: &mut Inner, cur: PageId, key: &[u8], val: &[u8]) -> Inserted {
     let p = g.pool.read(cur);
-    match page::leaf_search(p, key) {
+    let (at, old) = match page::leaf_search(p, key) {
         Ok(i) => {
             let old = page::leaf_val(p, i).to_vec();
-            if !page::leaf_replace_val_at(g.pool.write(cur), i, val) {
-                // Rebuild with the new value; may overflow → split path.
-                let mut entries = page::leaf_entries(g.pool.read(cur));
-                entries[i].1 = val.to_vec();
-                return rebuild_or_split(g, cur, entries, Some(old), false);
+            let p = g.pool.write(cur);
+            if page::leaf_replace_val_at(p, i, val) {
+                return (Some(old), None);
             }
-            MutOutcome::Done(Some(old))
+            // The value outgrew its cell: take the cell out, insert anew.
+            page::leaf_remove_at(p, i);
+            (i, Some(old))
         }
-        Err(i) => {
-            // Tail append is the in-place fast path (document-order
-            // loading): front coding extends without moving any slot, so
-            // restart positions stay put.
-            if i == page::count(p) && page::leaf_append_fits(p, key, val).is_some() {
-                page::leaf_append(g.pool.write(cur), key, val);
-                return MutOutcome::Done(None);
-            }
-            // Interior insert (or full page): re-encode from the entries —
-            // successor front coding and restart positions depend on slot
-            // indexes. Compacts dead cell space as a side effect.
-            let mut entries = page::leaf_entries(g.pool.read(cur));
-            let append = i == entries.len();
-            entries.insert(i, (key.to_vec(), val.to_vec()));
-            rebuild_or_split(g, cur, entries, None, append)
-        }
+        Err(i) => (i, None),
+    };
+    if page::leaf_insert_at(g.pool.write(cur), at, key, val) {
+        return (old, None);
     }
-}
-
-/// Rebuilds `cur` from `entries`, splitting into two chained leaves when
-/// they no longer fit in one page.
-///
-/// `append` marks the B*-tree asymmetric-split case: the overflowing
-/// insert was at the end of this leaf (sequential, document-order
-/// loading). The split then keeps the left page nearly full instead of
-/// half full — this is what sustains the paper's > 96 % storage occupancy
-/// for documents stored in document order (§3.1).
-fn rebuild_or_split(
-    g: &mut Inner,
-    cur: PageId,
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    old: Option<Vec<u8>>,
-    append: bool,
-) -> MutOutcome {
     // Chaos-test hook: `Delay` stretches the window in which a page split
     // holds the tree latch. Splits sit below the undo-log granularity, so
     // an `Error` cannot unwind from here — instead it poisons the shared
@@ -586,124 +529,51 @@ fn rebuild_or_split(
     if xtc_failpoint::fire_delay_in(g.pool.stats().failpoint_scope(), "btree.split") {
         g.pool.stats().poison();
     }
-    let page_size = g.pool.page_size();
     let next = page::link(g.pool.read(cur));
-    let prev = page::prev_link(g.pool.read(cur));
-    if page::leaf_build_size(&entries) <= page_size {
-        page::leaf_rebuild(g.pool.write(cur), &entries, next, prev);
-        return MutOutcome::Done(old);
-    }
-    let preferred = if append {
-        // Keep everything but the new entry on the (full) left page.
-        entries.len() - 1
-    } else {
-        // Split by cumulative byte size.
-        let total: usize = entries.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
-        let mut acc = 0usize;
-        let mut m = entries.len() / 2;
-        for (i, (k, v)) in entries.iter().enumerate() {
-            acc += k.len() + v.len() + 6;
-            if acc * 2 >= total {
-                m = (i + 1).min(entries.len() - 1).max(1);
-                break;
-            }
-        }
-        m
-    };
-    let mid = choose_split(&entries, preferred, page_size);
     let right = g.pool.alloc();
-    let sep = entries[mid].0.clone();
-    page::leaf_rebuild(g.pool.write(right), &entries[mid..], next, cur);
-    page::leaf_rebuild(g.pool.write(cur), &entries[..mid], right, prev);
+    // The pool lends one page at a time: fill the right half aside.
+    let mut half = vec![0u8; g.pool.page_size()];
+    page::init_leaf(&mut half, next, cur);
+    let left = g.pool.write(cur);
+    assert!(
+        page::leaf_split_insert(left, &mut half, at, key, val),
+        "no leaf split fits a {}-byte key with a {}-byte value on {}-byte pages \
+         (key/value limits should make this unreachable)",
+        key.len(),
+        val.len(),
+        half.len()
+    );
+    page::set_link(left, right);
+    g.pool.write(right).copy_from_slice(&half);
     if next != NO_PAGE {
         page::set_prev_link(g.pool.write(next), right);
     }
-    MutOutcome::Split { sep, right, old }
+    (old, Some((page::leaf_key(&half, 0), right)))
 }
 
-/// Picks a split point for an overflowing leaf such that **both** halves
-/// fit their pages, preferring `preferred`.
-///
-/// Re-encoding a half changes its size in either direction: its first
-/// entry becomes a restart point (full key — inflation, the old
-/// prefix-loss hazard), while restart positions inside the half shift so
-/// formerly-full restart keys may front-code away (deflation). Walking
-/// `preferred` left only — the pre-front-coding guard — can therefore
-/// leave the *right* half overflowing; probe outward in both directions
-/// instead and take the closest valid point.
-fn choose_split(entries: &[(Vec<u8>, Vec<u8>)], preferred: usize, page_size: usize) -> usize {
-    let n = entries.len();
-    let fits = |m: usize| {
-        page::leaf_build_size(&entries[..m]) <= page_size
-            && page::leaf_build_size(&entries[m..]) <= page_size
-    };
-    for delta in 0..n {
-        let lo = preferred.saturating_sub(delta);
-        if (1..n).contains(&lo) && fits(lo) {
-            return lo;
-        }
-        let hi = preferred + delta;
-        if delta > 0 && (1..n).contains(&hi) && fits(hi) {
-            return hi;
-        }
-    }
-    panic!(
-        "no valid leaf split: {} entries cannot divide into two pages of {} bytes \
-         (key/value limits should make this unreachable)",
-        n, page_size
-    );
-}
-
-fn delete_rec(g: &mut Inner, cur: PageId, key: &[u8]) -> Option<MutOutcome> {
+/// Removes `key` below `cur` and returns its value. A removal never needs
+/// room ([`page::leaf_remove_at`]), so unlike an insert it cannot split.
+fn delete_rec(g: &mut Inner, cur: PageId, key: &[u8]) -> Option<Vec<u8>> {
     let p = g.pool.read(cur);
     if page::page_type(p) == page::TYPE_LEAF {
         let i = page::leaf_search(p, key).ok()?;
-        let n = page::count(p);
         let old = page::leaf_val(p, i).to_vec();
-        if i == n - 1 {
-            // Tail removal keeps every restart position — O(1) in place.
-            page::leaf_remove_at(g.pool.write(cur), i);
-            return Some(MutOutcome::Done(Some(old)));
-        }
-        // Interior removal re-encodes the page; the shifted restart
-        // positions can inflate it past capacity, so route through the
-        // split-capable rebuild.
-        let mut entries = page::leaf_entries(p);
-        entries.remove(i);
-        return Some(rebuild_or_split(g, cur, entries, Some(old), false));
+        page::leaf_remove_at(g.pool.write(cur), i);
+        return Some(old);
     }
     let (child, sep_idx) = page::inner_descend(p, key);
-    match delete_rec(g, child, key)? {
-        MutOutcome::Done(old) => {
-            fix_child(g, cur, child, sep_idx);
-            Some(MutOutcome::Done(old))
-        }
-        MutOutcome::Split { sep, right, old } => {
-            // The child grew (delete-induced split): no underflow fixes
-            // apply; just register the new sibling, propagating splits.
-            match inner_add_child(g, cur, sep, right) {
-                None => Some(MutOutcome::Done(old)),
-                Some((promoted, new_right)) => Some(MutOutcome::Split {
-                    sep: promoted,
-                    right: new_right,
-                    old,
-                }),
-            }
-        }
-    }
+    let old = delete_rec(g, child, key)?;
+    fix_child(g, cur, child, sep_idx);
+    Some(old)
 }
 
 /// Post-deletion maintenance: frees empty children, collapses inner pages
 /// down to a single child, and opportunistically merges underfull leaves
 /// with their right sibling under the same parent.
 fn fix_child(g: &mut Inner, parent: PageId, child: PageId, sep_idx: Option<usize>) {
-    let (is_leaf, child_count, child_used) = {
+    let (is_leaf, child_count) = {
         let p = g.pool.read(child);
-        (
-            page::page_type(p) == page::TYPE_LEAF,
-            page::count(p),
-            page::used_bytes(p),
-        )
+        (page::page_type(p) == page::TYPE_LEAF, page::count(p))
     };
     if child_count == 0 {
         if is_leaf {
@@ -720,7 +590,7 @@ fn fix_child(g: &mut Inner, parent: PageId, child: PageId, sep_idx: Option<usize
         g.pool.free(child);
         return;
     }
-    if is_leaf && child_used < g.pool.page_size() / 4 {
+    if is_leaf && page::leaf_live_bytes(g.pool.read(child)) < g.pool.page_size() / 4 {
         try_merge_with_right(g, parent, child, sep_idx);
     }
 }
@@ -765,10 +635,7 @@ fn replace_child(g: &mut Inner, parent: PageId, sep_idx: Option<usize>, new_chil
 fn try_merge_with_right(g: &mut Inner, parent: PageId, child: PageId, sep_idx: Option<usize>) {
     // Identify the right sibling under the same parent and the separator
     // that owns it.
-    let right_sep = match sep_idx {
-        None => 0,
-        Some(i) => i + 1,
-    };
+    let right_sep = sep_idx.map_or(0, |i| i + 1);
     let right = {
         let p = g.pool.read(parent);
         if right_sep >= page::count(p) {
@@ -776,17 +643,19 @@ fn try_merge_with_right(g: &mut Inner, parent: PageId, child: PageId, sep_idx: O
         }
         page::inner_cell(p, right_sep).1
     };
-    if page::page_type(g.pool.read(right)) != page::TYPE_LEAF {
-        return;
-    }
-    let mut entries = page::leaf_entries(g.pool.read(child));
-    entries.extend(page::leaf_entries(g.pool.read(right)));
-    if page::leaf_build_size(&entries) > g.pool.page_size() * 7 / 8 {
+    let merged = page::leaf_live_bytes(g.pool.read(child)) + page::leaf_live_bytes(g.pool.read(right))
+        - page::HEADER;
+    if merged > g.pool.page_size() * 7 / 8 {
         return; // merged page would be too full to absorb further inserts
     }
-    let next = page::link(g.pool.read(right));
-    let prev = page::prev_link(g.pool.read(child));
-    page::leaf_rebuild(g.pool.write(child), &entries, next, prev);
+    // The pool lends one page at a time: the right one is freed anyway.
+    let mut from = g.pool.read(right).to_vec();
+    let next = page::link(&from);
+    let into = g.pool.write(child);
+    if !page::leaf_move_tail(&mut from, 0, into) {
+        return;
+    }
+    page::set_link(into, next);
     if next != NO_PAGE {
         page::set_prev_link(g.pool.write(next), child);
     }
@@ -961,6 +830,106 @@ mod tests {
             rep.key_bytes_stored,
             rep.key_bytes_logical
         );
+    }
+
+    #[test]
+    fn a_delete_never_allocates() {
+        // Wide keys on the smallest pages: full leaves whose successors
+        // regrow on removal, and inner pages that hold two or three
+        // separators and fill up with dead ones under the merges.
+        let t = small_tree();
+        let wide = |i: u64| format!("a/long/stem/that/most/keys/share/{:03}/{:05}", i % 7, i).into_bytes();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut removals = 0;
+        while removals < 20_000 {
+            let r = next();
+            let k = wide(r % 1500);
+            if r % 5 < 3 {
+                t.insert(&k, &[r as u8; 5][..(r % 6) as usize]).unwrap();
+                continue;
+            }
+            let allocs = t.stats().page_allocs();
+            if r % 5 == 3 {
+                t.remove(&k);
+            } else {
+                t.remove_range(&k, &wide(r % 1500 + r % 9));
+            }
+            assert_eq!(t.stats().page_allocs(), allocs, "removal {removals} allocated a page");
+            removals += 1;
+        }
+        let all = t.scan_range(b"", b"\xff");
+        assert_eq!(all.len(), t.len());
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "entries out of order");
+    }
+
+    #[test]
+    fn value_outgrowing_its_cell_on_a_full_page_splits() {
+        // How many entries one root leaf takes before it splits.
+        let fill = |n: u32| {
+            let t = small_tree();
+            for i in 0..n {
+                t.insert(&key(i), b"12345678").unwrap();
+            }
+            t
+        };
+        let full = (1..).find(|&n| fill(n + 1).occupancy().pages > 1).unwrap();
+        let t = fill(full);
+        assert_eq!(t.occupancy().pages, 1);
+        let allocs = t.stats().page_allocs();
+        let grown = [9u8; 60];
+        assert_eq!(t.insert(&key(full / 2), &grown).unwrap(), Some(b"12345678".to_vec()));
+        assert_eq!(t.stats().page_allocs(), allocs + 2, "a right leaf and a new root");
+        assert_eq!(t.len(), full as usize);
+        for i in 0..full {
+            let want = if i == full / 2 { &grown[..] } else { b"12345678" };
+            assert_eq!(t.get(&key(i)).as_deref(), Some(want), "key {i}");
+        }
+    }
+
+    #[test]
+    fn occupancy_counts_live_cells_and_thinned_leaves_merge() {
+        let t = BTree::with_config(
+            BTreeConfig {
+                page_size: 1024,
+                ..BTreeConfig::default()
+            },
+            StorageStats::default(),
+        );
+        let n = 4000u32;
+        for i in 0..n {
+            t.insert(&key(i), b"value").unwrap();
+        }
+        let full = t.occupancy();
+        assert!(full.occupancy() > 0.9, "key-order load: {:.2}", full.occupancy());
+        // Every second key gone: nothing merges yet (no leaf is under a
+        // quarter full), and the dead cells must not count as occupied.
+        for i in (1..n).step_by(2) {
+            t.remove(&key(i));
+        }
+        let half = t.occupancy();
+        assert_eq!(half.leaf_pages, full.leaf_pages);
+        let ratio = half.occupancy() / full.occupancy();
+        assert!((0.45..0.65).contains(&ratio), "half the keys occupy {ratio:.2} of the bytes");
+        // One key in eight left: each leaf drops under a quarter full once
+        // and folds its right neighbour in; the pair then stays above it.
+        for i in (0..n).step_by(2).filter(|i| i % 8 != 0) {
+            t.remove(&key(i));
+        }
+        let thin = t.occupancy();
+        assert!(
+            thin.leaf_pages <= full.leaf_pages / 2 + 1,
+            "{} of {} leaves left for an eighth of the keys",
+            thin.leaf_pages,
+            full.leaf_pages
+        );
+        assert!(thin.occupancy() > 0.25, "merged leaves are {:.2} full", thin.occupancy());
+        assert_eq!(t.scan_range(b"", b"\xff").len(), n as usize / 8);
     }
 
     #[test]

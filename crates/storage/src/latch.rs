@@ -7,8 +7,8 @@
 //! cache line each: a reader latches only its own thread's stripe
 //! ([`xtc_obs::stripe`]), a writer latches every stripe in index order.
 //! Readers on different stripes share no written line; writers pay
-//! `STRIPES` uncontended lock/unlock pairs, small beside a page
-//! re-encode.
+//! `STRIPES` uncontended lock/unlock pairs, small beside the descent and
+//! the leaf edit they cover.
 //!
 //! All `unsafe` of the storage crate's latching lives in this module:
 //! the value sits in an `UnsafeCell`, and the stripe guards held by

@@ -17,26 +17,30 @@
 //!
 //! Leaves use *front coding* (restart-point incremental encoding): each
 //! cell stores only the bytes of its key that differ from the previous
-//! slot's key — `shared` is the length of the common prefix with the
-//! predecessor, `suffix` the distinct tail. Every
-//! [`RESTART_INTERVAL`]-th slot is a *restart point* holding its full key
-//! (`shared == 0`), so binary search runs over the restart keys and then
-//! decodes at most one interval linearly. Restart positions are implicit
-//! (slot index divisible by the interval) — the slot array doubles as the
-//! restart array, and no separate offset list is needed.
+//! slot's key — `shared` is the length of a common prefix with the
+//! predecessor, `suffix` the distinct tail. Consecutive SPLIDs in document
+//! order differ almost only in their final division, so per-key front
+//! coding is what delivers the paper's §3.2 "2–3 bytes per stored SPLID" —
+//! a page-wide common prefix cannot, since one divergent key on the page
+//! destroys the whole saving.
 //!
-//! Consecutive SPLIDs in document order differ almost only in their final
-//! division, so per-key front coding is what delivers the paper's §3.2
-//! "2–3 bytes per stored SPLID" — a page-wide common prefix cannot, since
-//! one divergent key on the page destroys the whole saving.
+//! A *restart* is a cell with `shared == 0`: it holds its full key. That is
+//! a property of the cell, not of its slot index, and two invariants make
+//! it enough: slot 0 is a restart, and no *run* — a restart and the
+//! non-restart cells behind it — is longer than [`RESTART_INTERVAL`]. So a
+//! search narrows over restart keys and then decodes one run. A stored
+//! `shared` may be *less* than what the two keys really share; that costs
+//! bytes, never correctness.
 //!
-//! Mutation rules keeping the restart invariant cheap:
-//!
-//! * appends (`leaf_append`) and tail removals extend/shrink the slot
-//!   array in place — document-order builds never rebuild;
-//! * value replacement reuses the cell when the new value fits;
-//! * any other insert or removal re-encodes the page from its entries
-//!   (`leaf_rebuild`), which also compacts dead cell space.
+//! Because restarts travel with their cells, an edit touches the cell it
+//! is about and at most the one behind it: [`leaf_insert_at`] encodes only
+//! the new cell, [`leaf_remove_at`] never needs room (a delete cannot
+//! split a page), and [`leaf_move_tail`] — split and merge — copies cells
+//! verbatim but for the first; each says why. A removed restart hands the
+//! role to its successor, so under churn runs shrink and do not re-join:
+//! update-phase bytes per key settle about 7 % above a fresh load's.
+//! Edits leave dead cell space behind; an insert short of room squeezes it
+//! out (`leaf_reserve`), and [`leaf_live_bytes`] is what a leaf holds.
 
 use crate::pool::PageId;
 use std::cmp::Ordering;
@@ -46,9 +50,9 @@ pub const HEADER: usize = 13;
 pub const TYPE_LEAF: u8 = 1;
 pub const TYPE_INNER: u8 = 2;
 
-/// Every `RESTART_INTERVAL`-th leaf slot stores its full key. Smaller
-/// intervals cost stored bytes, larger ones lengthen the linear decode in
-/// searches; 16 keeps both at a few percent (see DESIGN.md, storage).
+/// Longest run of leaf cells decoded from one full key. Smaller intervals
+/// cost stored bytes, larger ones lengthen the linear decode in searches;
+/// 16 keeps both at a few percent (see DESIGN.md, storage).
 pub const RESTART_INTERVAL: usize = 16;
 
 // ---- header accessors ------------------------------------------------
@@ -106,8 +110,9 @@ pub fn free_space(p: &[u8]) -> usize {
     cell_start(p) - (HEADER + count(p) * 2)
 }
 
-/// Bytes of payload currently stored (cells + slots + header) — used for
-/// occupancy reporting.
+/// Bytes outside the free gap (header + slots + cell area, dead cells
+/// included). What an inner page holds for occupancy reporting; for a leaf
+/// see [`leaf_live_bytes`].
 pub fn used_bytes(p: &[u8]) -> usize {
     p.len() - free_space(p)
 }
@@ -123,30 +128,53 @@ pub fn init_leaf(p: &mut [u8], next: PageId, prev: PageId) {
     set_prev_link(p, prev);
 }
 
+/// Bytes of the leaf cell at offset `off`.
+fn cell_len(p: &[u8], off: usize) -> usize {
+    4 + p[off + 1] as usize + u16::from_le_bytes([p[off + 2], p[off + 3]]) as usize
+}
+
+/// Stored `shared` of leaf cell `i`; zero marks a restart.
+fn shared(p: &[u8], i: usize) -> usize {
+    p[slot(p, i)] as usize
+}
+
 /// Front-coding parts of leaf cell `i`: bytes shared with the previous
-/// slot's key, and the distinct suffix. Restart slots have `shared == 0`
+/// slot's key, and the distinct suffix. Restart cells have `shared == 0`
 /// and carry the full key as their suffix.
 pub fn leaf_suffix_parts(p: &[u8], i: usize) -> (usize, &[u8]) {
     let off = slot(p, i);
-    let shared = p[off] as usize;
-    let slen = p[off + 1] as usize;
-    (shared, &p[off + 4..off + 4 + slen])
+    (p[off] as usize, &p[off + 4..off + 4 + p[off + 1] as usize])
 }
 
 /// Value of leaf cell `i`.
 pub fn leaf_val(p: &[u8], i: usize) -> &[u8] {
     let off = slot(p, i);
-    let slen = p[off + 1] as usize;
-    let vlen = u16::from_le_bytes([p[off + 2], p[off + 3]]) as usize;
-    &p[off + 4 + slen..off + 4 + slen + vlen]
+    &p[off + 4 + p[off + 1] as usize..off + cell_len(p, off)]
+}
+
+/// Header, slots and live cells of a leaf. Edits leave dead cell space
+/// behind until an insert short of room squeezes it out, so this — not
+/// [`used_bytes`] — is what a leaf holds.
+pub fn leaf_live_bytes(p: &[u8]) -> usize {
+    (0..count(p)).fold(HEADER, |acc, i| acc + 2 + cell_len(p, slot(p, i)))
+}
+
+/// Cells of the run that ends at slot `i - 1`, back to its restart
+/// (0 when `i == 0`).
+fn run_back(p: &[u8], i: usize) -> usize {
+    (0..i).rev().take_while(|&j| shared(p, j) != 0).count() + usize::from(i > 0)
+}
+
+/// Cells from slot `i` on that belong to the run of the cell before them.
+fn run_ahead(p: &[u8], i: usize) -> usize {
+    (i..count(p)).take_while(|&j| shared(p, j) != 0).count()
 }
 
 /// Full key of leaf cell `i`, reconstructed from the covering restart
-/// point (at most [`RESTART_INTERVAL`] incremental steps).
+/// (at most [`RESTART_INTERVAL`] incremental steps).
 pub fn leaf_key(p: &[u8], i: usize) -> Vec<u8> {
-    let restart = i - i % RESTART_INTERVAL;
     let mut key = Vec::new();
-    for j in restart..=i {
+    for j in i + 1 - run_back(p, i + 1)..=i {
         let (shared, suffix) = leaf_suffix_parts(p, j);
         key.truncate(shared);
         key.extend_from_slice(suffix);
@@ -155,33 +183,39 @@ pub fn leaf_key(p: &[u8], i: usize) -> Vec<u8> {
 }
 
 /// Binary search in a leaf: `Ok(i)` if `key` is at slot `i`, `Err(i)` for
-/// the insertion position. Searches the restart keys (full keys, direct
-/// slice compare), then decodes one restart interval incrementally.
+/// the insertion position. Narrows `lo..hi` over restart cells (full
+/// keys, direct slice compare) until one run is left, then decodes it.
 pub fn leaf_search(p: &[u8], key: &[u8]) -> Result<usize, usize> {
     let n = count(p);
-    if n == 0 {
+    if n == 0 || key < leaf_suffix_parts(p, 0).1 {
         return Err(0);
     }
-    // First restart whose full key is strictly greater than `key`.
-    let restarts = n.div_ceil(RESTART_INTERVAL);
-    let mut lo = 0usize;
-    let mut hi = restarts;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let (_, full) = leaf_suffix_parts(p, mid * RESTART_INTERVAL);
-        if full <= key {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+    // `lo` is a restart whose key is <= `key`; every slot from `hi` on
+    // holds a greater key.
+    let (mut lo, mut hi) = (0, n);
+    loop {
+        // A restart near the middle: the one covering `from` or, when that
+        // is `lo`, the next one ahead. None below `hi`: `lo..hi` is a
+        // single run. A key-order load leaves the restarts on multiples of
+        // the interval, so the walk back starts on one where it can.
+        let mid = lo + (hi - lo) / 2;
+        let aligned = mid - mid % RESTART_INTERVAL;
+        let from = if aligned > lo { aligned } else { mid };
+        let mut r = from + 1 - run_back(p, from + 1);
+        if r == lo {
+            r = from + 1 + run_ahead(p, from + 1);
+            if r >= hi {
+                break;
+            }
+        }
+        match leaf_suffix_parts(p, r).1.cmp(key) {
+            Ordering::Less => lo = r,
+            Ordering::Equal => return Ok(r),
+            Ordering::Greater => hi = r,
         }
     }
-    if lo == 0 {
-        return Err(0); // key sorts before the first key on the page
-    }
-    let start = (lo - 1) * RESTART_INTERVAL;
-    let end = (start + RESTART_INTERVAL).min(n);
     let mut cur = Vec::new();
-    for i in start..end {
+    for i in lo..hi {
         let (shared, suffix) = leaf_suffix_parts(p, i);
         cur.truncate(shared);
         cur.extend_from_slice(suffix);
@@ -191,25 +225,21 @@ pub fn leaf_search(p: &[u8], key: &[u8]) -> Result<usize, usize> {
             Ordering::Less => {}
         }
     }
-    Err(end)
+    Err(hi)
 }
 
 /// Streams `(slot, full key, value)` from slot `start` to the end of the
 /// page, decoding keys incrementally; stop early by returning `false`.
 pub fn leaf_for_each_from(p: &[u8], start: usize, mut f: impl FnMut(usize, &[u8], &[u8]) -> bool) {
-    let n = count(p);
-    if start >= n {
+    if start >= count(p) {
         return;
     }
-    let mut cur = leaf_key(p, start);
-    if !f(start, &cur, leaf_val(p, start)) {
-        return;
-    }
-    for i in start + 1..n {
+    let mut cur = Vec::new();
+    for i in start + 1 - run_back(p, start + 1)..count(p) {
         let (shared, suffix) = leaf_suffix_parts(p, i);
         cur.truncate(shared);
         cur.extend_from_slice(suffix);
-        if !f(i, &cur, leaf_val(p, i)) {
+        if i >= start && !f(i, &cur, leaf_val(p, i)) {
             return;
         }
     }
@@ -217,77 +247,109 @@ pub fn leaf_for_each_from(p: &[u8], start: usize, mut f: impl FnMut(usize, &[u8]
 
 /// Physically stored vs logical (uncompressed) key bytes on a leaf — the
 /// `OccupancyReport` inputs behind the §3.2 "2–3 bytes per SPLID" claim.
+/// A key is as long as what it shares plus what it stores.
 pub fn leaf_key_byte_stats(p: &[u8]) -> (usize, usize) {
-    let mut stored = 0;
-    let mut logical = 0;
-    leaf_for_each_from(p, 0, |i, key, _| {
-        let (_, suffix) = leaf_suffix_parts(p, i);
-        stored += suffix.len();
-        logical += key.len();
-        true
-    });
-    (stored, logical)
+    (0..count(p)).fold((0, 0), |(stored, logical), i| {
+        let (shared, suffix) = leaf_suffix_parts(p, i);
+        (stored + suffix.len(), logical + shared + suffix.len())
+    })
 }
 
-fn front_coded_shared(i: usize, prev_key: &[u8], key: &[u8]) -> usize {
-    if i.is_multiple_of(RESTART_INTERVAL) {
-        0
-    } else {
-        common_prefix_len(prev_key, key)
+/// Makes `need` bytes free between the slot array and the cell area,
+/// squeezing out dead cell space only when that is what it takes. Returns
+/// false, with the page untouched, when even that is not enough.
+fn leaf_reserve(p: &mut [u8], need: usize) -> bool {
+    if free_space(p) >= need {
+        return true;
     }
-}
-
-/// Whether appending `key`/`val` after the current last slot fits in
-/// place. Returns the required cell size on success. (Caller guarantees
-/// `key` sorts after every key on the page.)
-pub fn leaf_append_fits(p: &[u8], key: &[u8], val: &[u8]) -> Option<usize> {
-    let n = count(p);
-    let shared = if n == 0 || n.is_multiple_of(RESTART_INTERVAL) {
-        0
-    } else {
-        common_prefix_len(&leaf_key(p, n - 1), key)
-    };
-    let cell = 4 + (key.len() - shared) + val.len();
-    if free_space(p) >= cell + 2 {
-        Some(cell)
-    } else {
-        None
+    if p.len() - leaf_live_bytes(p) < need {
+        return false;
     }
+    let old = p.to_vec();
+    let mut end = p.len();
+    for i in 0..count(p) {
+        let off = slot(&old, i);
+        let len = cell_len(&old, off);
+        end -= len;
+        p[end..end + len].copy_from_slice(&old[off..off + len]);
+        set_slot(p, i, end);
+    }
+    set_cell_start(p, end);
+    true
 }
 
-/// In-place append after the last slot (caller checked
-/// [`leaf_append_fits`]). The document-order build fast path: positions
-/// never shift, so restart points stay put.
-pub fn leaf_append(p: &mut [u8], key: &[u8], val: &[u8]) {
+/// Opens slot `i` over a fresh cell of `len` bytes (room reserved by the
+/// caller) and returns the cell's offset.
+fn alloc_cell(p: &mut [u8], i: usize, len: usize) -> usize {
     let n = count(p);
-    let shared = if n == 0 || n.is_multiple_of(RESTART_INTERVAL) {
-        0
-    } else {
-        common_prefix_len(&leaf_key(p, n - 1), key)
-    };
-    debug_assert!(!n.is_multiple_of(RESTART_INTERVAL) || shared == 0);
-    push_cell(p, n, shared, &key[shared..], val);
+    let off = cell_start(p) - len;
+    set_cell_start(p, off);
+    p.copy_within(HEADER + i * 2..HEADER + n * 2, HEADER + i * 2 + 2);
+    set_count(p, n + 1);
+    set_slot(p, i, off);
+    off
 }
 
-/// Writes a cell for slot `i` (which must be the current count) into the
-/// cell area and appends its slot.
-fn push_cell(p: &mut [u8], i: usize, shared: usize, suffix: &[u8], val: &[u8]) {
+/// Writes `[shared][suffix_len][val_len][suffix][val]` as slot `i`, if
+/// there is room for it.
+fn put_cell(p: &mut [u8], i: usize, shared: usize, suffix: &[u8], val: &[u8]) -> bool {
     debug_assert!(shared <= u8::MAX as usize && suffix.len() <= u8::MAX as usize);
-    let cell = 4 + suffix.len() + val.len();
-    let off = cell_start(p) - cell;
+    let len = 4 + suffix.len() + val.len();
+    if !leaf_reserve(p, 2 + len) {
+        return false;
+    }
+    let off = alloc_cell(p, i, len);
     p[off] = shared as u8;
     p[off + 1] = suffix.len() as u8;
     p[off + 2..off + 4].copy_from_slice(&(val.len() as u16).to_le_bytes());
     p[off + 4..off + 4 + suffix.len()].copy_from_slice(suffix);
-    p[off + 4 + suffix.len()..off + cell].copy_from_slice(val);
-    set_cell_start(p, off);
-    set_count(p, i + 1);
-    set_slot(p, i, off);
+    p[off + 4 + suffix.len()..off + len].copy_from_slice(val);
+    true
+}
+
+/// Whether a cell must enter as a restart: it is the first on its page,
+/// or the run it would join — `back` cells behind it, `ahead` non-restart
+/// cells in front — is full.
+fn must_restart(back: usize, ahead: usize) -> bool {
+    back == 0 || back + 1 + ahead > RESTART_INTERVAL
+}
+
+/// Inserts `key`/`val` at slot `i` (from [`leaf_search`]), encoding only
+/// the new cell. Returns false, with the page unchanged, without room.
+///
+/// The old cell `i` stays valid where it lies: what it shared with its
+/// old predecessor it shares with `key` too, since `cpl(pred, succ) =
+/// min(cpl(pred, key), cpl(key, succ))`. Where it now shares more it is
+/// shortened in place — unless it is a restart whose run, joined to the
+/// new cell's, would be too long.
+pub fn leaf_insert_at(p: &mut [u8], i: usize, key: &[u8], val: &[u8]) -> bool {
+    let back = run_back(p, i);
+    let shared = if must_restart(back, run_ahead(p, i)) {
+        0
+    } else {
+        common_prefix_len(&leaf_key(p, i - 1), key)
+    };
+    if !put_cell(p, i, shared, &key[shared..], val) {
+        return false;
+    }
+    if i + 1 < count(p) {
+        let run = if shared == 0 { 1 } else { back + 1 };
+        let off = slot(p, i + 1);
+        let (succ_shared, succ_suffix) = leaf_suffix_parts(p, i + 1);
+        if succ_shared != 0 || run + 1 + run_ahead(p, i + 2) <= RESTART_INTERVAL {
+            // Drop the suffix's first `d` bytes: the header moves up to them.
+            let d = common_prefix_len(&key[succ_shared..], succ_suffix);
+            let header = [(succ_shared + d) as u8, p[off + 1] - d as u8, p[off + 2], p[off + 3]];
+            p[off + d..off + d + 4].copy_from_slice(&header);
+            set_slot(p, i + 1, off + d);
+        }
+    }
+    true
 }
 
 /// Replaces the value of slot `i` in place when the new value fits in the
-/// old cell footprint; returns false otherwise (caller rebuilds). Keys
-/// and positions are untouched, so the front coding stays valid.
+/// old one's bytes; returns false otherwise (caller removes and inserts).
+/// Keys and positions are untouched, so the front coding stays valid.
 pub fn leaf_replace_val_at(p: &mut [u8], i: usize, val: &[u8]) -> bool {
     let off = slot(p, i);
     let slen = p[off + 1] as usize;
@@ -300,56 +362,115 @@ pub fn leaf_replace_val_at(p: &mut [u8], i: usize, val: &[u8]) -> bool {
     true
 }
 
-/// Removes slot `i`. Removing the last slot is O(1); any other removal
-/// re-encodes the page (the successor's front coding and every later
-/// restart position depend on slot indexes), which also compacts dead
-/// cell space.
+/// Removes slot `i`. It never needs room, so it cannot fail.
+///
+/// With its new predecessor the successor shares `min(shared_i,
+/// shared_succ)`. If that is less than it stored, the missing bytes are
+/// the head of the removed cell's suffix — no key is decoded — and the
+/// successor grows by less than the removed cell frees. A removed restart
+/// (`shared_i == 0`) hands its role on this way, so no run grows.
 pub fn leaf_remove_at(p: &mut [u8], i: usize) {
     let n = count(p);
-    if i == n - 1 {
-        set_count(p, n - 1);
-        return;
+    let off = slot(p, i);
+    let mut regrown = Vec::new();
+    if i + 1 < n && p[slot(p, i + 1)] > p[off] {
+        let succ = slot(p, i + 1);
+        let d = p[succ] - p[off];
+        regrown.extend_from_slice(&[p[off], p[succ + 1] + d, p[succ + 2], p[succ + 3]]);
+        regrown.extend_from_slice(&p[off + 4..off + 4 + d as usize]);
+        regrown.extend_from_slice(&p[succ + 4..succ + cell_len(p, succ)]);
     }
-    let mut entries = leaf_entries(p);
-    entries.remove(i);
-    let (next, prev) = (link(p), prev_link(p));
-    leaf_rebuild(p, &entries, next, prev);
-}
-
-/// Decodes all (full key, value) pairs of a leaf in one sequential pass.
-pub fn leaf_entries(p: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let mut out = Vec::with_capacity(count(p));
-    leaf_for_each_from(p, 0, |_, k, v| {
-        out.push((k.to_vec(), v.to_vec()));
-        true
-    });
-    out
-}
-
-/// Rebuilds a leaf from sorted entries with fresh front coding and
-/// restart points. Caller guarantees the entries fit
-/// (see [`leaf_build_size`]).
-pub fn leaf_rebuild(p: &mut [u8], entries: &[(Vec<u8>, Vec<u8>)], next: PageId, prev: PageId) {
-    init_leaf(p, next, prev);
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let shared = front_coded_shared(i, if i == 0 { &[] } else { &entries[i - 1].0 }, k);
-        debug_assert!(
-            free_space(p) >= 2 + 4 + (k.len() - shared) + v.len(),
-            "rebuild overflow"
-        );
-        push_cell(p, i, shared, &k[shared..], v);
+    // The successor's old cell goes with the removed one.
+    let gone = if regrown.is_empty() { 1 } else { 2 };
+    p.copy_within(HEADER + (i + gone) * 2..HEADER + n * 2, HEADER + i * 2);
+    set_count(p, n - gone);
+    if !regrown.is_empty() {
+        let fits = leaf_reserve(p, 2 + regrown.len());
+        debug_assert!(fits, "a removed cell frees more than its successor grows");
+        let to = alloc_cell(p, i, regrown.len());
+        p[to..to + regrown.len()].copy_from_slice(&regrown);
     }
 }
 
-/// Bytes a rebuilt leaf would occupy for these entries (header + slots +
-/// front-coded cells).
-pub fn leaf_build_size(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
-    let mut size = HEADER;
-    for (i, (k, v)) in entries.iter().enumerate() {
-        let shared = front_coded_shared(i, if i == 0 { &[] } else { &entries[i - 1].0 }, k);
-        size += 2 + 4 + (k.len() - shared) + v.len();
+/// Moves cells `from..` of `src` behind the last cell of `dst` (a split
+/// when `dst` is fresh, a merge when `from == 0`). The first moved cell
+/// is re-coded against `dst`'s last key, the rest are copied as they are.
+/// Returns false, with both pages unchanged, when `dst` lacks the room.
+pub fn leaf_move_tail(src: &mut [u8], from: usize, dst: &mut [u8]) -> bool {
+    let (n, m) = (count(src), count(dst));
+    if from == n {
+        return true;
     }
-    size
+    let key = leaf_key(src, from);
+    let shared = if must_restart(run_back(dst, m), run_ahead(src, from + 1)) {
+        0
+    } else {
+        common_prefix_len(&leaf_key(dst, m - 1), &key)
+    };
+    let rest: usize = (from + 1..n).map(|j| 2 + cell_len(src, slot(src, j))).sum();
+    let first = 2 + 4 + key.len() - shared + leaf_val(src, from).len();
+    if !leaf_reserve(dst, first + rest) {
+        return false;
+    }
+    put_cell(dst, m, shared, &key[shared..], leaf_val(src, from));
+    for j in from + 1..n {
+        let off = slot(src, j);
+        let len = cell_len(src, off);
+        let to = alloc_cell(dst, m + j - from, len);
+        dst[to..to + len].copy_from_slice(&src[off..off + len]);
+    }
+    set_count(src, from);
+    true
+}
+
+/// Where to cut a leaf that has no room for a new cell of `new` bytes
+/// (slot included) at slot `at`. The result `c` counts entries *including*
+/// the new one: the first `c` stay left.
+///
+/// A tail insert keeps every old cell on the left page — the B\*-tree's
+/// asymmetric split, which is what sustains the paper's > 96 % occupancy
+/// for documents loaded in document order (§3.1). Any other insert takes
+/// the cut nearest the middle byte at which both halves fit; cells move
+/// verbatim but for the right page's first, which regains its `shared`
+/// bytes, so both sizes are running sums of cell lengths.
+fn leaf_split_point(p: &[u8], at: usize, new: usize) -> Option<usize> {
+    let n = count(p);
+    if at == n {
+        return Some(n);
+    }
+    let room = p.len() - HEADER;
+    let total = leaf_live_bytes(p) - HEADER + new;
+    let mut left = 0;
+    let mut best = None;
+    for c in 1..=n {
+        left += match (c - 1).cmp(&at) {
+            Ordering::Less => 2 + cell_len(p, slot(p, c - 1)),
+            Ordering::Equal => new,
+            Ordering::Greater => 2 + cell_len(p, slot(p, c - 2)),
+        };
+        let right = total - left + shared(p, c - usize::from(at < c));
+        let off_middle = (2 * left).abs_diff(total);
+        if left <= room && right <= room && best.is_none_or(|(d, _)| off_middle < d) {
+            best = Some((off_middle, c));
+        }
+    }
+    best.map(|(_, c)| c)
+}
+
+/// Splits `left`, which refused `key`/`val` at slot `at`, into itself and
+/// the empty leaf `right`, and inserts them on their side of the cut.
+/// Returns false when no cut lets both halves fit.
+pub fn leaf_split_insert(left: &mut [u8], right: &mut [u8], at: usize, key: &[u8], val: &[u8]) -> bool {
+    let Some(cut) = leaf_split_point(left, at, 2 + 4 + key.len() + val.len()) else {
+        return false;
+    };
+    let mid = cut - usize::from(at < cut);
+    leaf_move_tail(left, mid, right)
+        && if at < cut {
+            leaf_insert_at(left, at, key, val)
+        } else {
+            leaf_insert_at(right, at - mid, key, val)
+        }
 }
 
 // ---- inner pages -------------------------------------------------------
@@ -447,6 +568,11 @@ pub fn inner_entries(p: &[u8]) -> Vec<(Vec<u8>, PageId)> {
         .collect()
 }
 
+/// Bytes of an inner page rebuilt from these separators.
+pub fn inner_size(entries: &[(Vec<u8>, PageId)]) -> usize {
+    entries.iter().fold(HEADER, |acc, (k, _)| acc + 2 + 2 + k.len() + 4)
+}
+
 /// Rebuilds an inner page from a leftmost child and sorted separators.
 pub fn inner_rebuild(p: &mut [u8], leftmost: PageId, entries: &[(Vec<u8>, PageId)]) {
     init_inner(p, leftmost);
@@ -459,30 +585,109 @@ pub fn inner_rebuild(p: &mut [u8], leftmost: PageId, entries: &[(Vec<u8>, PageId
 mod tests {
     use super::*;
 
-    fn page() -> Vec<u8> {
-        vec![0u8; 512]
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    fn leaf(size: usize) -> Vec<u8> {
+        let mut p = vec![0u8; size];
+        init_leaf(&mut p, 0, 0);
+        p
     }
 
-    fn build(entries: &[(&[u8], &[u8])]) -> Vec<u8> {
-        let owned: Vec<(Vec<u8>, Vec<u8>)> = entries
-            .iter()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        let mut p = page();
-        leaf_rebuild(&mut p, &owned, 0, 0);
+    /// A leaf loaded in key order, the way a document-order build does.
+    fn build(size: usize, entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut p = leaf(size);
+        for (i, (k, v)) in entries.iter().enumerate() {
+            assert!(leaf_insert_at(&mut p, i, k, v), "entry {i} does not fit");
+        }
         p
+    }
+
+    fn entries(p: &[u8]) -> Entries {
+        let mut out = Vec::new();
+        leaf_for_each_from(p, 0, |_, k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            true
+        });
+        out
+    }
+
+    /// The codec's invariants, and agreement with `model` entry by entry
+    /// and probe by probe.
+    fn check(p: &[u8], model: &[(Vec<u8>, Vec<u8>)], ctx: &str) {
+        assert_eq!(entries(p), model, "{ctx}: entries");
+        assert!(leaf_live_bytes(p) <= used_bytes(p), "{ctx}: live bytes exceed used bytes");
+        let mut run = 0;
+        for (i, (k, v)) in model.iter().enumerate() {
+            let (shared, suffix) = leaf_suffix_parts(p, i);
+            run = if shared == 0 { 1 } else { run + 1 };
+            assert!(i > 0 || shared == 0, "{ctx}: slot 0 is not a restart");
+            assert!(run <= RESTART_INTERVAL, "{ctx}: run of {run} cells ends at slot {i}");
+            if i > 0 {
+                let cpl = common_prefix_len(&model[i - 1].0, k);
+                assert!(shared <= cpl, "{ctx}: slot {i} stores shared {shared}, keys share {cpl}");
+            }
+            assert_eq!(suffix, &k[shared..], "{ctx}: slot {i} suffix");
+            assert_eq!(leaf_key(p, i), *k, "{ctx}: slot {i} key");
+            assert_eq!(leaf_val(p, i), v.as_slice(), "{ctx}: slot {i} value");
+            assert_eq!(leaf_search(p, k), Ok(i), "{ctx}: search of slot {i}");
+            let mut gap = k.clone();
+            gap.push(0);
+            let after = model.get(i + 1).is_none_or(|(next, _)| gap < *next);
+            assert_eq!(
+                leaf_search(p, &gap),
+                if after { Err(i + 1) } else { Ok(i + 1) },
+                "{ctx}: gap after slot {i}"
+            );
+        }
+        if let Some((first, _)) = model.first().filter(|(k, _)| !k.is_empty()) {
+            let below = &first[..first.len() - 1];
+            assert_eq!(leaf_search(p, below), Err(0), "{ctx}: below the first key");
+        }
+        assert_eq!(leaf_search(p, &[0xFF; 40]), Err(model.len()), "{ctx}: above the last key");
+    }
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Keys off a few stems over a small alphabet: long common
+        /// prefixes, frequent neighbours, 1–30 bytes.
+        fn key(&mut self) -> Vec<u8> {
+            let stem: &[u8] = [&b"a"[..], b"doc/1.3.", b"doc/1.3.5.7.", b"doc/1.5.", b"e"][self.below(5)];
+            let mut k = stem.to_vec();
+            for _ in 0..1 + self.below(6) {
+                k.push(b'0' + self.below(4) as u8);
+            }
+            k
+        }
+
+        fn val(&mut self, max: usize) -> Vec<u8> {
+            let len = self.below(max + 1);
+            (0..len).map(|_| self.next() as u8).collect()
+        }
     }
 
     #[test]
     fn leaf_append_search_remove() {
-        let mut p = page();
+        let mut p = vec![0u8; 512];
         init_leaf(&mut p, 7, 9);
         assert_eq!(link(&p), 7);
         assert_eq!(prev_link(&p), 9);
         for (i, k) in [b"xya", b"xyc", b"xye"].iter().enumerate() {
             assert_eq!(leaf_search(&p, *k), Err(i));
-            assert!(leaf_append_fits(&p, *k, &[i as u8]).is_some());
-            leaf_append(&mut p, *k, &[i as u8]);
+            assert!(leaf_insert_at(&mut p, i, *k, &[i as u8]));
         }
         assert_eq!(count(&p), 3);
         assert_eq!(leaf_search(&p, b"xyc"), Ok(1));
@@ -497,106 +702,233 @@ mod tests {
         assert_eq!(count(&p), 2);
         assert_eq!(leaf_search(&p, b"xyc"), Err(1));
         assert_eq!(leaf_key(&p, 1), b"xye");
-        assert_eq!(link(&p), 7, "interior removal keeps chain links");
+        assert_eq!(link(&p), 7, "removal keeps chain links");
         assert_eq!(prev_link(&p), 9);
     }
 
     #[test]
     fn leaf_value_replace() {
-        let mut p = page();
-        init_leaf(&mut p, 0, 0);
-        leaf_append(&mut p, b"k", b"hello");
+        let mut p = build(512, &[(b"k".to_vec(), b"hello".to_vec())]);
         assert!(leaf_replace_val_at(&mut p, 0, b"hi"));
         assert_eq!(leaf_val(&p, 0), b"hi");
         assert!(!leaf_replace_val_at(&mut p, 0, b"toolongnow"));
     }
 
     #[test]
-    fn leaf_rebuild_front_codes() {
-        let mut p = page();
-        let entries = vec![
+    fn key_order_load_front_codes() {
+        let model = vec![
             (b"abc1".to_vec(), b"v1".to_vec()),
             (b"abc2".to_vec(), b"v2".to_vec()),
             (b"abd".to_vec(), b"v3".to_vec()),
         ];
-        leaf_rebuild(&mut p, &entries, 0, 0);
+        let p = build(512, &model);
         assert_eq!(leaf_suffix_parts(&p, 0), (0, &b"abc1"[..]), "restart = full key");
         assert_eq!(leaf_suffix_parts(&p, 1), (3, &b"2"[..]));
         assert_eq!(leaf_suffix_parts(&p, 2), (2, &b"d"[..]));
-        assert_eq!(leaf_entries(&p), entries);
-        assert_eq!(used_bytes(&p), leaf_build_size(&entries));
-        let (stored, logical) = leaf_key_byte_stats(&p);
-        assert_eq!(stored, 4 + 1 + 1);
-        assert_eq!(logical, 4 + 4 + 3);
+        check(&p, &model, "load");
+        assert_eq!(leaf_live_bytes(&p), HEADER + 3 * (2 + 4 + 2) + 4 + 1 + 1);
+        assert_eq!(used_bytes(&p), leaf_live_bytes(&p), "a load leaves no dead space");
+        assert_eq!(leaf_key_byte_stats(&p), (4 + 1 + 1, 4 + 4 + 3));
     }
 
     #[test]
-    fn restart_points_recur_every_interval() {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..3 * RESTART_INTERVAL)
+    fn key_order_load_restarts_every_interval() {
+        let model: Entries = (0..3 * RESTART_INTERVAL + 5)
             .map(|i| (format!("key{i:05}").into_bytes(), vec![]))
             .collect();
-        let mut p = vec![0u8; 2048];
-        leaf_rebuild(&mut p, &entries, 0, 0);
-        for (i, (k, _)) in entries.iter().enumerate() {
+        let p = build(2048, &model);
+        for i in 0..model.len() {
             let (shared, _) = leaf_suffix_parts(&p, i);
-            if i % RESTART_INTERVAL == 0 {
-                assert_eq!(shared, 0, "slot {i} must be a restart");
-            }
-            assert_eq!(&leaf_key(&p, i), k, "slot {i}");
-            assert_eq!(leaf_search(&p, k), Ok(i), "slot {i}");
+            assert_eq!(shared == 0, i % RESTART_INTERVAL == 0, "slot {i}");
         }
-        // Appends continue the pattern without a rebuild.
-        let k = b"key99999";
-        leaf_append(&mut p, k, b"");
-        let n = count(&p);
-        assert_eq!(leaf_search(&p, k), Ok(n - 1));
-        let (shared, _) = leaf_suffix_parts(&p, n - 1);
-        assert_eq!(shared, if (n - 1).is_multiple_of(RESTART_INTERVAL) { 0 } else { 3 });
+        check(&p, &model, "load");
     }
 
     #[test]
-    fn search_across_restart_boundaries() {
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..5 * RESTART_INTERVAL as u32)
-            .map(|i| (format!("pfx/{:04}", i * 2).into_bytes(), vec![i as u8]))
-            .collect();
-        let mut p = vec![0u8; 4096];
-        leaf_rebuild(&mut p, &entries, 0, 0);
-        for (i, (k, v)) in entries.iter().enumerate() {
-            assert_eq!(leaf_search(&p, k), Ok(i));
-            assert_eq!(leaf_val(&p, i), v.as_slice());
-            // Probe the gap right after each key: insertion point i + 1.
-            let mut gap = k.clone();
-            gap.push(b'!');
-            assert_eq!(leaf_search(&p, &gap), Err(i + 1));
-        }
-        assert_eq!(leaf_search(&p, b"pfx/"), Err(0));
-        assert_eq!(leaf_search(&p, b"pfx/9999"), Err(entries.len()));
-    }
-
-    #[test]
-    fn interior_remove_reencodes_successor() {
-        // Removing a key must re-expand its successor's suffix: with
-        // `abc` gone, `abd`'s predecessor shares only `ab`… and restart
-        // positions shift too.
-        let p0 = build(&[(b"abc", b"1"), (b"abd", b"2"), (b"abe", b"3")]);
-        let mut p = p0.clone();
-        leaf_remove_at(&mut p, 0);
-        assert_eq!(leaf_suffix_parts(&p, 0), (0, &b"abd"[..]));
-        assert_eq!(leaf_entries(&p), vec![
+    fn insert_shortens_the_successor_and_remove_regrows_it() {
+        let model = vec![
+            (b"abc".to_vec(), b"1".to_vec()),
             (b"abd".to_vec(), b"2".to_vec()),
             (b"abe".to_vec(), b"3".to_vec()),
-        ]);
-        // Tail removal is the in-place fast path.
-        let mut p = p0.clone();
-        let used_before = used_bytes(&p);
+        ];
+        let mut p = build(512, &[model[0].clone(), model[2].clone()]);
+        assert_eq!(leaf_suffix_parts(&p, 1), (2, &b"e"[..]));
+        // `abd` shares no more with `abe` than `abc` did ...
+        assert!(leaf_insert_at(&mut p, 1, b"abd", b"2"));
+        assert_eq!(leaf_suffix_parts(&p, 2), (2, &b"e"[..]));
+        check(&p, &model, "insert");
+        // ... `abey` in front of `abez` does.
+        assert!(leaf_insert_at(&mut p, 3, b"abez", b""));
+        assert_eq!(leaf_suffix_parts(&p, 3), (3, &b"z"[..]));
+        assert!(leaf_insert_at(&mut p, 3, b"abey", b""));
+        assert_eq!(leaf_suffix_parts(&p, 4), (3, &b"z"[..]), "`abez` and `abey` share `abe`");
+        // Removing the first key hands its restart role on: `abd` regains
+        // the `ab` it shared, from the removed cell's suffix.
+        leaf_remove_at(&mut p, 0);
+        assert_eq!(leaf_suffix_parts(&p, 0), (0, &b"abd"[..]));
+        // Removing `abey` costs `abez` nothing; removing `abe` then gives
+        // it back the `e`.
         leaf_remove_at(&mut p, 2);
-        assert_eq!(count(&p), 2);
-        assert_eq!(used_bytes(&p), used_before - 2, "only the slot is dropped");
+        assert_eq!(leaf_suffix_parts(&p, 2), (3, &b"z"[..]));
+        leaf_remove_at(&mut p, 1);
+        assert_eq!(leaf_suffix_parts(&p, 1), (2, &b"ez"[..]));
+        check(&p, &[model[1].clone(), (b"abez".to_vec(), vec![])], "removes");
+    }
+
+    #[test]
+    fn reverse_order_load_still_front_codes() {
+        // Every insert lands on slot 0 and must be a restart; the old
+        // first cell gives the role up while its run has room.
+        let model: Entries = (0..40).map(|i| (format!("stem/{i:03}").into_bytes(), vec![])).collect();
+        let mut p = leaf(1024);
+        for (k, v) in model.iter().rev() {
+            assert!(leaf_insert_at(&mut p, 0, k, v));
+        }
+        check(&p, &model, "reverse load");
+        let restarts = (0..40).filter(|&i| leaf_suffix_parts(&p, i).0 == 0).count();
+        assert_eq!(restarts, 40usize.div_ceil(RESTART_INTERVAL));
+    }
+
+    /// Random inserts, removals and value growth against a model, every
+    /// invariant checked after every step; an insert without room must
+    /// leave the page as it was, and [`leaf_split_insert`] must then place
+    /// it.
+    #[test]
+    fn random_edits_agree_with_model() {
+        for (seed, size) in [(1, 256), (2, 256), (3, 256), (4, 512), (5, 512), (6, 512)] {
+            let mut rng = Rng(seed);
+            let mut p = leaf(size);
+            let mut model: Entries = Vec::new();
+            let mut refused = 0;
+            for step in 0..4000 {
+                let ctx = format!("seed {seed} step {step}");
+                let key = rng.key();
+                let found = leaf_search(&p, &key);
+                assert_eq!(found, model.binary_search_by(|(k, _)| k.cmp(&key)), "{ctx}: search");
+                match (found, rng.below(3)) {
+                    (Ok(i), 0) => {
+                        leaf_remove_at(&mut p, i);
+                        model.remove(i);
+                    }
+                    (Ok(i), _) => {
+                        // Replace, mostly with a longer value: in place
+                        // when it fits, else out and in again.
+                        let val = rng.val(model[i].1.len() + 6);
+                        if leaf_replace_val_at(&mut p, i, &val) {
+                            model[i].1 = val;
+                        } else {
+                            leaf_remove_at(&mut p, i);
+                            model.remove(i);
+                            if leaf_insert_at(&mut p, i, &key, &val) {
+                                model.insert(i, (key, val));
+                            }
+                        }
+                    }
+                    (Err(i), _) => {
+                        let val = rng.val(size / 8);
+                        let before = p.clone();
+                        if leaf_insert_at(&mut p, i, &key, &val) {
+                            model.insert(i, (key, val));
+                        } else {
+                            assert_eq!(p, before, "{ctx}: a refused insert changed the page");
+                            refused += 1;
+                            split_and_check(&p, &model, i, &key, &val, &ctx);
+                            // Make room the cheap way and go on.
+                            let victim = rng.below(model.len());
+                            leaf_remove_at(&mut p, victim);
+                            model.remove(victim);
+                        }
+                    }
+                }
+                check(&p, &model, &ctx);
+            }
+            assert!(refused > 50, "seed {seed}: the page was full only {refused} times");
+        }
+    }
+
+    /// Splits a copy of `p` around the refused insert, the way the tree does.
+    fn split_and_check(p: &[u8], model: &[(Vec<u8>, Vec<u8>)], at: usize, key: &[u8], val: &[u8], ctx: &str) {
+        let (mut left, mut right) = (p.to_vec(), leaf(p.len()));
+        assert!(leaf_split_insert(&mut left, &mut right, at, key, val), "{ctx}: no cut fits");
+        let mut want = model.to_vec();
+        want.insert(at, (key.to_vec(), val.to_vec()));
+        let cut = count(&left);
+        assert!(cut > 0 && cut < want.len(), "{ctx}: a half is empty");
+        check(&left, &want[..cut], &format!("{ctx}: left of {cut}"));
+        check(&right, &want[cut..], &format!("{ctx}: right of {cut}"));
+    }
+
+    /// Fills a page to the last byte, then removes every cell in random
+    /// order: a removal needs no room, whatever its successor regrows.
+    #[test]
+    fn removal_on_a_byte_full_page_succeeds() {
+        for seed in 1..=20 {
+            let mut rng = Rng(seed);
+            let mut p = leaf(256);
+            let mut model: Entries = Vec::new();
+            for _ in 0..200 {
+                let key = rng.key();
+                if let Err(i) = leaf_search(&p, &key) {
+                    let val = rng.val(8);
+                    if leaf_insert_at(&mut p, i, &key, &val) {
+                        model.insert(i, (key, val));
+                    }
+                }
+            }
+            // Pad the last value until not one byte is left.
+            let last = model.len() - 1;
+            let spare = p.len() - leaf_live_bytes(&p);
+            leaf_remove_at(&mut p, last);
+            model[last].1.extend(std::iter::repeat_n(7, spare));
+            assert!(leaf_insert_at(&mut p, last, &model[last].0, &model[last].1), "seed {seed}: padding");
+            assert_eq!(leaf_live_bytes(&p), p.len(), "seed {seed}: page is not byte-full");
+            while !model.is_empty() {
+                let i = rng.below(model.len());
+                leaf_remove_at(&mut p, i);
+                model.remove(i);
+                check(&p, &model, &format!("seed {seed}: {} left", model.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn move_tail_splits_merges_and_fails_whole() {
+        let mut rng = Rng(11);
+        for round in 0..200 {
+            let mut model: Entries = Vec::new();
+            let mut p = leaf(512);
+            for _ in 0..60 {
+                let key = rng.key();
+                if let Err(i) = leaf_search(&p, &key) {
+                    let val = rng.val(10);
+                    if leaf_insert_at(&mut p, i, &key, &val) {
+                        model.insert(i, (key, val));
+                    }
+                }
+            }
+            let mid = rng.below(model.len() + 1);
+            let (mut left, mut right) = (p.clone(), leaf(512));
+            assert!(leaf_move_tail(&mut left, mid, &mut right));
+            check(&left, &model[..mid], &format!("round {round}: left of {mid}"));
+            check(&right, &model[mid..], &format!("round {round}: right of {mid}"));
+            // Merging back needs the room the moved cells left dead.
+            assert!(leaf_move_tail(&mut right, 0, &mut left));
+            check(&left, &model, &format!("round {round}: merged"));
+            assert_eq!(count(&right), 0);
+            // A destination without the room is left alone, like the source.
+            let mut small = leaf(256);
+            assert!(leaf_insert_at(&mut small, 0, b"Z", &[0; 60]));
+            let before = (left.clone(), small.clone());
+            if leaf_live_bytes(&left) + leaf_live_bytes(&small) - HEADER > small.len() {
+                assert!(!leaf_move_tail(&mut left, 0, &mut small), "round {round}");
+                assert_eq!((left, small), before, "round {round}: a refused move changed a page");
+            }
+        }
     }
 
     #[test]
     fn inner_descend_picks_ranges() {
-        let mut p = page();
+        let mut p = vec![0u8; 512];
         init_inner(&mut p, 10);
         inner_insert(&mut p, b"m", 20);
         inner_insert(&mut p, b"t", 30);
@@ -611,9 +943,7 @@ mod tests {
 
     #[test]
     fn empty_key_and_value_edge_cases() {
-        let mut p = page();
-        init_leaf(&mut p, 0, 0);
-        leaf_append(&mut p, b"", b"");
+        let p = build(512, &[(vec![], vec![])]);
         assert_eq!(leaf_search(&p, b""), Ok(0));
         assert_eq!(leaf_suffix_parts(&p, 0), (0, &b""[..]));
         assert_eq!(leaf_val(&p, 0), b"");

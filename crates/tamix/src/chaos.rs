@@ -100,6 +100,11 @@ impl ChaosParams {
             ..RetryPolicy::default()
         });
         tamix.checkpoint_every = Some(Duration::from_millis(120));
+        if kill_site == "btree.split" {
+            // The site fires on page splits only, and the tiny document's
+            // few 8 KB leaves do not split within a scenario.
+            tamix.store.page_size = 512;
+        }
         ChaosParams {
             tamix,
             bib: BibConfig::tiny(),

@@ -19,7 +19,9 @@
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 use xtc_core::wal::WalConfig;
-use xtc_core::{recover_from, IsolationLevel, RetryPolicy, XtcConfig, XtcDb, XtcError};
+use xtc_core::{
+    recover_from, DocStoreConfig, IsolationLevel, RetryPolicy, XtcConfig, XtcDb, XtcError,
+};
 use xtc_failpoint::FailAction;
 use xtc_protocols::ALL_PROTOCOLS;
 use xtc_tamix::{bib, BibConfig};
@@ -51,12 +53,19 @@ enum Fate {
 
 fn crash_scenario(proto: &str, site: &str, seed: u64) -> (bool, bool) {
     let cfg = BibConfig::tiny();
+    let mut store = DocStoreConfig::default();
+    if site == "btree.split" {
+        // The tiny document's few 8 KB leaves would not split under
+        // twelve marker inserts.
+        store.page_size = 512;
+    }
     let db = Arc::new(XtcDb::new(XtcConfig {
         protocol: proto.to_string(),
         isolation: IsolationLevel::Repeatable,
         lock_depth: 4,
         lock_timeout: Duration::from_secs(5),
         wal: Some(WalConfig::default()),
+        store,
         ..XtcConfig::default()
     }));
     // Bulk generation bypasses transactions (and therefore the log);
@@ -153,7 +162,7 @@ fn crash_scenario(proto: &str, site: &str, seed: u64) -> (bool, bool) {
 #[test]
 fn crash_recovery_matrix_over_all_protocols_and_kill_sites() {
     let _storm = STORM_LOCK.lock().unwrap();
-    let mut mid_run_crashes = 0u32;
+    let mut mid_run_crashes = [0u32; KILL_SITES.len()];
     let mut torn_tails = 0u32;
     for proto in ALL_PROTOCOLS {
         for (s, site) in KILL_SITES.iter().enumerate() {
@@ -170,18 +179,20 @@ fn crash_recovery_matrix_over_all_protocols_and_kill_sites() {
                 panic!("{proto}/{site}: crash scenario hung past {WATCHDOG:?}")
             });
             let (crashed_mid_run, torn) = handle.join().expect("scenario panicked");
-            mid_run_crashes += u32::from(crashed_mid_run);
+            mid_run_crashes[s] += u32::from(crashed_mid_run);
             torn_tails += u32::from(torn);
         }
     }
-    // Across 33 scenarios the kills must actually land mid-run (not only
-    // via the end-of-scenario fallback crash), and the torn-tail path
+    // At every site the kills must actually land mid-run (not only via
+    // the end-of-scenario fallback crash), and the torn-tail path
     // (wal.flush writing a partial batch) must have been decoded at
     // least once — otherwise this matrix exercises nothing.
-    assert!(
-        mid_run_crashes > 0,
-        "no scenario crashed mid-run; the kill sites never fired"
-    );
+    for (site, crashes) in KILL_SITES.iter().zip(mid_run_crashes) {
+        assert!(
+            crashes > 0,
+            "no scenario crashed mid-run; the kill sites never fired ({site})"
+        );
+    }
     assert!(
         torn_tails > 0,
         "no scenario produced a torn log tail; wal.flush kills never landed"

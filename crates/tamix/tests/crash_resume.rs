@@ -36,7 +36,7 @@ const KILL_SITES: [&str; 3] = ["wal.commit", "wal.fsync", "store.page_read_io"];
 #[test]
 fn chaos_matrix_over_all_protocols_and_fault_sites() {
     let _storm = STORM_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut mid_run_crashes = 0u32;
+    let mut mid_run_crashes = [0u32; KILL_SITES.len()];
     // The extended field: the versioned contestants recover through the
     // same WAL path (their version chains rebuild from committed
     // winners), so they face the same kill sites.
@@ -44,8 +44,15 @@ fn chaos_matrix_over_all_protocols_and_fault_sites() {
         for (s, site) in KILL_SITES.iter().enumerate() {
             let seed = 0xC4A0_5EED ^ ((proto.len() as u64) << 8) ^ s as u64;
             let (tx, rx) = mpsc::channel();
+            let mut params = ChaosParams::quick(proto, site, seed);
+            if *site == "wal.fsync" {
+                // The log retries a failed sync in place and dies on the
+                // fourth failure in a row: at the default 0.2 that is one
+                // sync in 625, more than a storm this short performs.
+                params.kill_probability = 0.5;
+            }
             let handle = std::thread::spawn(move || {
-                let report = run_crash_recover_resume(&ChaosParams::quick(proto, site, seed));
+                let report = run_crash_recover_resume(&params);
                 let _ = tx.send(());
                 report
             });
@@ -64,16 +71,18 @@ fn chaos_matrix_over_all_protocols_and_fault_sites() {
                 report.post.committed() > 0,
                 "{proto}/{site}: no progress after recovery"
             );
-            mid_run_crashes += u32::from(report.crashed_mid_run);
+            mid_run_crashes[s] += u32::from(report.crashed_mid_run);
         }
     }
-    // Across 39 scenarios the kills must actually land mid-run (not only
-    // via the end-of-phase fallback crash), or this matrix exercises
-    // nothing beyond plain recovery.
-    assert!(
-        mid_run_crashes > 0,
-        "no scenario crashed mid-run; the kill sites never fired"
-    );
+    // At every site the kills must actually land mid-run (not only via
+    // the end-of-phase fallback crash), or this matrix exercises nothing
+    // beyond plain recovery.
+    for (site, crashes) in KILL_SITES.iter().zip(mid_run_crashes) {
+        assert!(
+            crashes > 0,
+            "no scenario crashed mid-run; the kill sites never fired ({site})"
+        );
+    }
 }
 
 #[test]
