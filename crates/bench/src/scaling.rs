@@ -10,9 +10,12 @@
 //! engine's own synchronisation — counters, latches, the buffer pool's
 //! bookkeeping — and none of it the protocol's.
 //!
-//! Gate (`--check`): on the CLUSTER1 mix `two_shared` must reach 1.5× the
-//! `one` row. The layer ladder of `perf/` cannot show this: its rungs
-//! are single-threaded. The report is checked in as `BENCH_scaling.json`.
+//! Gates (`--check`): on the CLUSTER1 mix `two_shared` must reach 1.5× the
+//! `one` row — the layer ladder of `perf/` cannot show this: its rungs
+//! are single-threaded — and one client's TAqueryBook must read at most a
+//! third of the pages it read when every node cost a walk from the root,
+//! so that walk cannot come back unnoticed. The report is checked in as
+//! `BENCH_scaling.json`.
 
 use crate::cli::Flags;
 use crate::report::{Report, Row};
@@ -23,10 +26,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtc_core::{IsolationLevel, RetryPolicy, XtcConfig, XtcDb};
 use xtc_tamix::txns::{run_txn_body, Pacing, TxnKind};
-use xtc_tamix::{sample_kind, BibConfig};
+use xtc_tamix::{sample_kind, BibConfig, PoolReport};
 
 /// The gate: `two_shared / one` on the mix.
 const MIN_SHARED_SPEEDUP: f64 = 1.5;
+/// Page reads per TAqueryBook of the `query_only / one` row before reads
+/// kept their place (a root-to-leaf walk per node, two per navigation
+/// step), as this bench counted them on that commit.
+const WALK_PER_NODE_PAGE_READS: f64 = 1767.0;
 /// Discarded before each slice (caches, lazy set-up, thread start).
 const WARMUP: Duration = Duration::from_millis(300);
 /// Each row's window is cut into this many slices, taken in turn with
@@ -41,6 +48,12 @@ struct Cell {
     rates: Vec<f64>,
     commits: u64,
     failed: u64,
+    /// Transactions run to their end, warm-up and the one in flight at
+    /// the window's close included: what the store counters below cover.
+    finished: u64,
+    page_reads: u64,
+    descents: u64,
+    hint_hits: u64,
 }
 
 impl Cell {
@@ -62,19 +75,35 @@ fn build(bib: &BibConfig) -> Arc<XtcDb> {
     db
 }
 
+/// Page reads, root descents and hint hits so far, over the distinct
+/// documents of a row.
+fn store_counters(dbs: &[Arc<XtcDb>]) -> [u64; 3] {
+    let mut sum = [0; 3];
+    for (i, db) in dbs.iter().enumerate() {
+        if dbs[..i].iter().any(|seen| Arc::ptr_eq(seen, db)) {
+            continue;
+        }
+        let pool = db.store().pool_stats();
+        sum[0] += db.store().stats().page_reads();
+        sum[1] += pool.descents;
+        sum[2] += pool.hint_hits;
+    }
+    sum
+}
+
 /// One slice: client `i` works on `dbs[i]` (the same `Arc` twice for a
 /// shared row) until `window` is over; warm-up first, uncounted. Returns
-/// `(commits, failed)` over all clients.
+/// `(commits, failed, finished)` over all clients.
 fn drive(
     dbs: &[Arc<XtcDb>],
     bib: &BibConfig,
     query_only: bool,
     seed: u64,
     window: Duration,
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let start = Instant::now() + WARMUP;
     let end = start + window;
-    let per_client: Vec<(u64, u64)> = std::thread::scope(|scope| {
+    let per_client: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
         let clients: Vec<_> = dbs
             .iter()
             .enumerate()
@@ -88,7 +117,7 @@ fn drive(
                         seed: client_seed,
                         ..RetryPolicy::default()
                     };
-                    let (mut commits, mut failed) = (0u64, 0u64);
+                    let (mut commits, mut failed, mut finished) = (0u64, 0u64, 0u64);
                     loop {
                         let kind = if query_only {
                             TxnKind::QueryBook
@@ -98,9 +127,10 @@ fn drive(
                         let (result, _) = db.run_retrying(&policy, |txn| {
                             run_txn_body(txn, kind, bib, &mut rng, Pacing::default())
                         });
+                        finished += 1;
                         let now = Instant::now();
                         if now >= end {
-                            return (commits, failed);
+                            return (commits, failed, finished);
                         }
                         if now >= start {
                             match result {
@@ -120,6 +150,7 @@ fn drive(
     (
         per_client.iter().map(|c| c.0).sum(),
         per_client.iter().map(|c| c.1).sum(),
+        per_client.iter().map(|c| c.2).sum(),
     )
 }
 
@@ -144,27 +175,44 @@ pub fn run(flags: &Flags) {
         ("two_separate", vec![a, b]),
     ];
     let mut rows: Vec<Row> = Vec::new();
-    let mut mix_speedup = f64::NAN;
+    let (mut mix_speedup, mut query_page_reads) = (f64::NAN, f64::NAN);
     for (mix, query_only) in [("cluster1", false), ("query_only", true)] {
         let mut cells: [Cell; 3] = Default::default();
         for round in 0..SLICES {
             for (cell, (_, dbs)) in cells.iter_mut().zip(&configs) {
                 let slice_seed = seed.wrapping_add(104_729 * round as u64);
-                let (commits, failed) = drive(dbs, &bib, query_only, slice_seed, slice);
+                let before = store_counters(dbs);
+                let (commits, failed, finished) = drive(dbs, &bib, query_only, slice_seed, slice);
+                let after = store_counters(dbs);
                 cell.rates.push(commits as f64 / slice.as_secs_f64());
                 cell.commits += commits;
                 cell.failed += failed;
+                cell.finished += finished;
+                cell.page_reads += after[0] - before[0];
+                cell.descents += after[1] - before[1];
+                cell.hint_hits += after[2] - before[2];
             }
         }
         let one = cells[0].txn_per_s();
         for (cell, (name, _)) in cells.iter().zip(&configs) {
             let speedup = cell.txn_per_s() / one;
-            if (mix, *name) == ("cluster1", "two_shared") {
-                mix_speedup = speedup;
+            let per_txn = |n: u64| n as f64 / cell.finished.max(1) as f64;
+            let lookups = PoolReport {
+                descents: cell.descents,
+                hint_hits: cell.hint_hits,
+                ..PoolReport::default()
+            };
+            match (mix, *name) {
+                ("cluster1", "two_shared") => mix_speedup = speedup,
+                ("query_only", "one") => query_page_reads = per_txn(cell.page_reads),
+                _ => {}
             }
             rows.push(row! {
                 "mix": mix, "clients": *name, "txn_per_s": cell.txn_per_s(),
                 "vs_one": speedup, "commits": cell.commits, "failed": cell.failed,
+                "page_reads_per_txn": per_txn(cell.page_reads),
+                "descents_per_txn": per_txn(cell.descents),
+                "hint_hit_rate": lookups.hint_hit_rate(),
             });
         }
     }
@@ -173,6 +221,7 @@ pub fn run(flags: &Flags) {
         "bib": &bib_name, "duration_ms": window.as_millis() as u64, "slices": SLICES, "seed": seed,
         "protocol": "taDOM3+", "isolation": "repeatable", "lock_depth": 4u64,
         "cluster1_two_shared_vs_one": mix_speedup,
+        "query_only_one_page_reads_per_txn": query_page_reads,
     };
     report.table(
         "cells",
@@ -189,6 +238,14 @@ pub fn run(flags: &Flags) {
         format!(
             "two clients on one document ran {mix_speedup:.2}x one client on the CLUSTER1 mix \
              (need {MIN_SHARED_SPEEDUP}x; {cpus} cpus)"
+        ),
+    );
+    report.gate(
+        "reads_keep_their_place",
+        query_page_reads * 3.0 <= WALK_PER_NODE_PAGE_READS,
+        format!(
+            "one client's TAqueryBook read {query_page_reads:.0} pages \
+             (need a third of {WALK_PER_NODE_PAGE_READS:.0}, the figure with a walk from the root per node)"
         ),
     );
     report.finish();

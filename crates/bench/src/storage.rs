@@ -337,6 +337,8 @@ pub fn run(flags: &Flags) {
             "evictions": c.pool.evictions, "evict_blocked": c.pool.evict_blocked,
             "flushes": c.pool.flushes, "forced_writebacks": c.pool.forced_writebacks,
             "ghost_hits": c.pool.ghost_hits, "polluter_entries": c.polluter_entries,
+            "descents_per_txn": c.pool.descents as f64 / c.committed.max(1) as f64,
+            "hint_hit_rate": c.pool.hint_hit_rate(),
         }
     });
     report.table(

@@ -4,8 +4,9 @@
 //!
 //! 1. *plan* — read the affected neighbourhood (unlocked),
 //! 2. *lock* — hand the corresponding [`MetaOp`] to the protocol,
-//! 3. *verify* — re-read; if concurrent changes invalidated the plan,
-//!    loop (the extra locks are harmless over-locking),
+//! 3. *verify* — if the document changed between the plan and the lock
+//!    grant, plan again (the extra locks are harmless over-locking); see
+//!    [`Transaction::plan_locked`],
 //! 4. *apply* — perform the node-manager mutation and push an undo
 //!    record,
 //! 5. *end of operation* — release short locks (isolation *committed*).
@@ -285,19 +286,15 @@ impl<'db> Transaction<'db> {
         if self.isolation.locks_index_keys() {
             self.acquire(MetaOp::IndexKeyRead(id_value.as_bytes()))?;
         }
-        for _ in 0..PLAN_RETRIES {
-            let Some(found) = self.store().element_by_id(id_value) else {
-                self.end_operation();
-                return Ok(None);
-            };
-            self.acquire(MetaOp::JumpRead(&found))?;
-            // Verify the jump target under lock.
-            if self.store().element_by_id(id_value).as_ref() == Some(&found) {
-                self.end_operation();
-                return Ok(Some(found));
-            }
-        }
-        Err(XtcError::Busy)
+        let found = self.plan_locked(
+            |s| Ok(s.element_by_id(id_value)),
+            |found| match found {
+                Some(n) => self.acquire(MetaOp::JumpRead(n)),
+                None => Ok(()),
+            },
+        )?;
+        self.end_operation();
+        Ok(found)
     }
 
     /// All elements with a given name via the element index, jump-locked.
@@ -409,25 +406,48 @@ impl<'db> Transaction<'db> {
         Ok(text)
     }
 
+    /// Plan → lock → verify, the discipline of the module doc, in one
+    /// place. `plan` reads the neighbourhood unlocked and `lock` acquires
+    /// what the plan names. A plan is a function of the content of the
+    /// document's trees alone, so it stands if none of them changed from
+    /// before its first read until after the lock was granted
+    /// ([`xtc_node::DocStore::doc_version`]: the writer this request had to
+    /// wait for counted itself before it released its lock). Only then is
+    /// the plan made again.
+    fn plan_locked<P>(
+        &self,
+        plan: impl Fn(&xtc_node::DocStore) -> Result<P, XtcError>,
+        lock: impl Fn(&P) -> Result<(), XtcError>,
+    ) -> Result<P, XtcError> {
+        for _ in 0..PLAN_RETRIES {
+            let version = self.store().doc_version();
+            let planned = plan(self.store())?;
+            lock(&planned)?;
+            if self.store().doc_version() == version {
+                return Ok(planned);
+            }
+        }
+        Err(XtcError::Busy)
+    }
+
     fn navigate(
         &self,
         from: &SplId,
         edge: EdgeKind,
         f: impl Fn(&xtc_node::DocStore) -> Option<SplId>,
     ) -> Result<Option<SplId>, XtcError> {
-        for _ in 0..PLAN_RETRIES {
-            let to = f(self.store());
-            self.acquire(MetaOp::Navigate {
-                from,
-                to: to.as_ref(),
-                edge,
-            })?;
-            if f(self.store()) == to {
-                self.end_operation();
-                return Ok(to);
-            }
-        }
-        Err(XtcError::Busy)
+        let to = self.plan_locked(
+            |s| Ok(f(s)),
+            |to| {
+                self.acquire(MetaOp::Navigate {
+                    from,
+                    to: to.as_ref(),
+                    edge,
+                })
+            },
+        )?;
+        self.end_operation();
+        Ok(to)
     }
 
     /// Resolves a sibling-axis step against the version store: the
@@ -566,15 +586,13 @@ impl<'db> Transaction<'db> {
             return Ok(out);
         }
         self.acquire(MetaOp::ReadNode(elem))?;
+        let mut attrs = Vec::new();
         if self.store().exists(&ar) {
             self.acquire(MetaOp::ReadLevel(&ar))?;
+            for (a, voc) in self.store().attributes_under(&ar) {
+                attrs.push((a, self.store().vocab().resolve(voc).unwrap_or_default()));
+            }
         }
-        let attrs = self
-            .store()
-            .attributes(elem)
-            .into_iter()
-            .map(|(a, voc)| (a, self.store().vocab().resolve(voc).unwrap_or_default()))
-            .collect();
         self.end_operation();
         Ok(attrs)
     }
@@ -599,10 +617,12 @@ impl<'db> Transaction<'db> {
             return Ok(None);
         }
         self.acquire(MetaOp::ReadNode(elem))?;
+        let mut v = None;
         if self.store().exists(&ar) {
             self.acquire(MetaOp::ReadLevel(&ar))?;
+            let attr = self.store().attribute_node_under(&ar, name);
+            v = attr.and_then(|a| self.store().text_of(&a));
         }
-        let v = self.store().attribute_value(elem, name);
         self.end_operation();
         Ok(v)
     }
@@ -784,20 +804,18 @@ impl<'db> Transaction<'db> {
         pos: &InsertPos,
     ) -> Result<SplId, XtcError> {
         self.acquire(MetaOp::ReadNode(parent))?;
-        for _ in 0..PLAN_RETRIES {
-            let (label, left, right) = self.store().plan_insert(parent, pos)?;
-            self.acquire(MetaOp::InsertNode {
-                parent,
-                node: &label,
-                left: left.as_ref(),
-                right: right.as_ref(),
-            })?;
-            let (label2, ..) = self.store().plan_insert(parent, pos)?;
-            if label2 == label {
-                return Ok(label);
-            }
-        }
-        Err(XtcError::Busy)
+        let (label, ..) = self.plan_locked(
+            |s| Ok(s.plan_insert(parent, pos)?),
+            |(label, left, right)| {
+                self.acquire(MetaOp::InsertNode {
+                    parent,
+                    node: label,
+                    left: left.as_ref(),
+                    right: right.as_ref(),
+                })
+            },
+        )?;
+        Ok(label)
     }
 
     /// Inserts a new element under `parent`.
@@ -879,117 +897,100 @@ impl<'db> Transaction<'db> {
                 }
             }
         }
-        for _ in 0..PLAN_RETRIES {
-            match self.store().plan_attribute(elem, name)? {
-                AttrPlan::Existing(attr) => {
-                    self.acquire(MetaOp::WriteContent(&attr))?;
-                    // Verify the attribute still exists under lock.
-                    if self.store().plan_attribute(elem, name)? != AttrPlan::Existing(attr.clone())
-                    {
-                        continue;
-                    }
-                    let old = self.store().text_of(&attr);
-                    self.apply_logged(
-                        old.map(|old| UndoOp::Content {
-                            node: xtc_splid::encode(&attr),
-                            old,
-                        }),
-                        || {
-                            self.store().update_content(&attr, value)?;
-                            Ok(())
-                        },
-                        |()| RedoOp::Content {
-                            node: xtc_splid::encode(&attr),
-                            new: value.to_string(),
-                        },
-                    )?;
-                    self.end_operation();
-                    return Ok(());
-                }
+        let plan = self.plan_locked(
+            |s| Ok(s.plan_attribute(elem, name)?),
+            |plan| match plan {
+                AttrPlan::Existing(attr) => self.acquire(MetaOp::WriteContent(attr)),
                 AttrPlan::New {
                     attr_root,
-                    attr_root_exists,
                     label,
                     last,
-                } => {
-                    self.acquire(MetaOp::InsertNode {
-                        parent: &attr_root,
-                        node: &label,
-                        left: last.as_ref(),
-                        right: None,
-                    })?;
-                    if self.store().plan_attribute(elem, name)?
-                        != (AttrPlan::New {
-                            attr_root: attr_root.clone(),
-                            attr_root_exists,
-                            label: label.clone(),
-                            last,
-                        })
-                    {
-                        continue;
-                    }
-                    // Undo removes the attribute node — and the attribute
-                    // root if this call created it.
-                    let undo_root = if attr_root_exists {
-                        label.clone()
-                    } else {
-                        attr_root.clone()
-                    };
-                    self.apply_logged(
-                        Some(UndoOp::Delete {
-                            root: xtc_splid::encode(&undo_root),
-                        }),
-                        || {
-                            let (attr, _) = self.store().set_attribute(elem, name, value)?;
-                            debug_assert!(
-                                attr == label || self.isolation == IsolationLevel::None,
-                                "locked attribute plan diverged: planned {label}, created {attr}"
-                            );
-                            Ok(())
-                        },
-                        |()| RedoOp::Insert {
-                            nodes: self.subtree_payload(&undo_root),
-                        },
-                    )?;
-                    self.end_operation();
-                    return Ok(());
-                }
+                    ..
+                } => self.acquire(MetaOp::InsertNode {
+                    parent: attr_root,
+                    node: label,
+                    left: last.as_ref(),
+                    right: None,
+                }),
+            },
+        )?;
+        match plan {
+            AttrPlan::Existing(attr) => {
+                let old = self.store().text_of(&attr);
+                self.apply_logged(
+                    old.map(|old| UndoOp::Content {
+                        node: xtc_splid::encode(&attr),
+                        old,
+                    }),
+                    || {
+                        self.store().update_content(&attr, value)?;
+                        Ok(())
+                    },
+                    |()| RedoOp::Content {
+                        node: xtc_splid::encode(&attr),
+                        new: value.to_string(),
+                    },
+                )?;
+            }
+            AttrPlan::New {
+                attr_root,
+                attr_root_exists,
+                label,
+                ..
+            } => {
+                // Undo removes the attribute node — and the attribute
+                // root if this call created it.
+                let undo_root = if attr_root_exists { &label } else { &attr_root };
+                self.apply_logged(
+                    Some(UndoOp::Delete {
+                        root: xtc_splid::encode(undo_root),
+                    }),
+                    || {
+                        let (attr, _) = self.store().set_attribute(elem, name, value)?;
+                        debug_assert!(
+                            attr == label || self.isolation == IsolationLevel::None,
+                            "locked attribute plan diverged: planned {label}, created {attr}"
+                        );
+                        Ok(())
+                    },
+                    |()| RedoOp::Insert {
+                        nodes: self.subtree_payload(undo_root),
+                    },
+                )?;
             }
         }
-        Err(XtcError::Busy)
+        self.end_operation();
+        Ok(())
     }
 
     /// Deletes the subtree rooted at `n`.
     pub fn delete_subtree(&self, n: &SplId) -> Result<(), XtcError> {
-        for _ in 0..PLAN_RETRIES {
-            let left = self.store().prev_sibling(n);
-            let right = self.store().next_sibling(n);
-            self.acquire(MetaOp::DeleteTree {
-                node: n,
-                left: left.as_ref(),
-                right: right.as_ref(),
-            })?;
-            if self.store().prev_sibling(n) != left || self.store().next_sibling(n) != right {
-                continue;
-            }
-            let nodes = self.subtree_payload(n);
-            if nodes.is_empty() {
-                return Err(xtc_node::NodeError::NotFound(n.clone()).into());
-            }
-            self.apply_logged(
-                Some(UndoOp::Restore { nodes }),
-                || {
-                    self.store().delete_subtree(n)?;
-                    Ok(())
-                },
-                |()| RedoOp::Delete {
-                    root: xtc_splid::encode(n),
-                },
-            )?;
-            self.end_operation();
-            return Ok(());
+        self.plan_locked(
+            |s| Ok((s.prev_sibling(n), s.next_sibling(n))),
+            |(left, right)| {
+                self.acquire(MetaOp::DeleteTree {
+                    node: n,
+                    left: left.as_ref(),
+                    right: right.as_ref(),
+                })
+            },
+        )?;
+        let nodes = self.subtree_payload(n);
+        if nodes.is_empty() {
+            return Err(xtc_node::NodeError::NotFound(n.clone()).into());
         }
-        Err(XtcError::Busy)
+        self.apply_logged(
+            Some(UndoOp::Restore { nodes }),
+            || {
+                self.store().delete_subtree(n)?;
+                Ok(())
+            },
+            |()| RedoOp::Delete {
+                root: xtc_splid::encode(n),
+            },
+        )?;
+        self.end_operation();
+        Ok(())
     }
 
     // ---- lifecycle --------------------------------------------------------

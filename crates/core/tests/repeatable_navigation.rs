@@ -3,9 +3,10 @@
 //! traversals" (§2 intro). Phantom-style checks for level reads and
 //! sibling navigation.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use xtc_core::{InsertPos, IsolationLevel, XtcConfig, XtcDb};
+use xtc_obs::{EventKind, ObsConfig};
 
 fn db(protocol: &str) -> Arc<XtcDb> {
     let db = Arc::new(XtcDb::new(XtcConfig {
@@ -110,4 +111,60 @@ fn reads_and_deletes_exclude_each_other() {
         assert!(check.element_by_id("b").unwrap().is_some(), "{proto}");
         check.commit().unwrap();
     }
+}
+
+/// The re-plan branch of plan → lock → verify, step by step. A plans
+/// `first_child(r)` — B's uncommitted `x1` — and blocks on the first-child
+/// edge B holds. B then puts a newer first child in front and commits. A,
+/// granted at last, must see that the document moved under its plan and
+/// answer with the child that is first *now*.
+#[test]
+fn a_plan_made_before_a_lock_wait_is_made_again_after_it() {
+    let db = XtcDb::new(XtcConfig {
+        protocol: "taDOM3+".into(),
+        isolation: IsolationLevel::Repeatable,
+        lock_depth: 6,
+        lock_timeout: Duration::from_secs(10),
+        // Tracing on: B waits for A's `LockWait` event, not for a sleep.
+        obs: Some(ObsConfig::default()),
+        ..XtcConfig::default()
+    });
+    db.load_xml(r#"<r><a id="a"/></r>"#).unwrap();
+    let b = db.begin();
+    let root = b.root().unwrap().unwrap();
+    let planned = b
+        .insert_element(&root, InsertPos::FirstChild, "x1")
+        .unwrap();
+    let (a_began, a_id) = mpsc::channel();
+    std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let a = db.begin();
+            a_began.send(a.id()).unwrap();
+            let first = a.first_child(&root).unwrap();
+            a.commit().unwrap();
+            first
+        });
+        let a_id = a_id.recv().unwrap();
+        // The event is recorded before the requester sleeps: once it is
+        // there, A has planned and cannot go on until B lets go.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !db
+            .obs()
+            .events()
+            .iter()
+            .any(|e| e.txn == a_id && matches!(e.kind, EventKind::LockWait { .. }))
+        {
+            assert!(
+                Instant::now() < deadline,
+                "A never blocked on B's edge lock"
+            );
+            std::thread::yield_now();
+        }
+        let newer = b
+            .insert_element(&root, InsertPos::FirstChild, "x0")
+            .unwrap();
+        assert!(newer < planned, "x0 went in front of x1");
+        b.commit().unwrap();
+        assert_eq!(a.join().expect("A panicked"), Some(newer));
+    });
 }

@@ -356,6 +356,8 @@ impl DocStore {
             forced_writebacks: d.forced_writebacks,
             filter_negatives: d.filter_negatives,
             filter_probes: d.filter_probes,
+            descents: d.descents,
+            hint_hits: d.hint_hits,
             dirty: d.dirty + e.dirty + i.dirty,
             resident: d.resident + e.resident + i.resident,
             live: d.live + e.live + i.live,
@@ -363,6 +365,15 @@ impl DocStore {
     }
 
     // ---- reads ----------------------------------------------------------
+
+    /// Mutations begun so far on the document tree and both indexes
+    /// together (`xtc_storage::BTree::version`). Each part only ever
+    /// grows, so two equal results bracket a stretch in which none of the
+    /// three trees changed: whatever was read in between would read the
+    /// same again.
+    pub fn doc_version(&self) -> u64 {
+        self.doc.version() + self.elem_index.version() + self.id_index.version()
+    }
 
     /// Fetches and decodes a node.
     pub fn get(&self, id: &SplId) -> Option<NodeData> {
@@ -383,15 +394,13 @@ impl DocStore {
     /// First child in document order (the attribute root, if present,
     /// sorts first).
     pub fn first_child(&self, id: &SplId) -> Option<SplId> {
-        let (k, _) = self.doc.next_after(&encode(id))?;
-        let cand = xtc_splid::decode(&k).expect("corrupt key");
+        let cand = self.doc.next_after(&encode(id), decode_key)?;
         id.is_parent_of(&cand).then_some(cand)
     }
 
     /// Last child in document order.
     pub fn last_child(&self, id: &SplId) -> Option<SplId> {
-        let (k, _) = self.doc.prev_before(&subtree_upper_bound(id))?;
-        let cand = xtc_splid::decode(&k).expect("corrupt key");
+        let cand = self.doc.prev_before(&subtree_upper_bound(id), decode_key)?;
         if !id.is_ancestor_of(&cand) {
             return None;
         }
@@ -401,16 +410,14 @@ impl DocStore {
 
     /// Next sibling in document order.
     pub fn next_sibling(&self, id: &SplId) -> Option<SplId> {
-        let (k, _) = self.doc.next_after(&subtree_upper_bound(id))?;
-        let cand = xtc_splid::decode(&k).expect("corrupt key");
+        let cand = self.doc.next_after(&subtree_upper_bound(id), decode_key)?;
         id.is_sibling_of(&cand).then_some(cand)
     }
 
     /// Previous sibling in document order.
     pub fn prev_sibling(&self, id: &SplId) -> Option<SplId> {
         let parent = id.parent()?;
-        let (k, _) = self.doc.prev_before(&encode(id))?;
-        let cand = xtc_splid::decode(&k).expect("corrupt key");
+        let cand = self.doc.prev_before(&encode(id), decode_key)?;
         if cand == parent {
             return None;
         }
@@ -455,10 +462,14 @@ impl DocStore {
 
     /// `(attribute node, name)` pairs of an element.
     pub fn attributes(&self, elem: &SplId) -> Vec<(SplId, VocId)> {
-        let Some(ar) = self.attribute_root(elem) else {
-            return Vec::new();
-        };
-        self.children(&ar)
+        self.attribute_root(elem)
+            .map_or_else(Vec::new, |ar| self.attributes_under(&ar))
+    }
+
+    /// `(attribute node, name)` pairs below the attribute root `ar` — for
+    /// a caller that has resolved [`DocStore::attribute_root`] already.
+    pub fn attributes_under(&self, ar: &SplId) -> Vec<(SplId, VocId)> {
+        self.children(ar)
             .into_iter()
             .filter_map(|a| match self.get(&a) {
                 Some(NodeData::Attribute { name }) => Some((a, name)),
@@ -469,8 +480,13 @@ impl DocStore {
 
     /// The attribute node of `elem` with the given name.
     pub fn attribute_node(&self, elem: &SplId, name: &str) -> Option<SplId> {
+        self.attribute_node_under(&self.attribute_root(elem)?, name)
+    }
+
+    /// The attribute node with the given name below the attribute root `ar`.
+    pub fn attribute_node_under(&self, ar: &SplId, name: &str) -> Option<SplId> {
         let voc = self.vocab.lookup(name)?;
-        self.attributes(elem)
+        self.attributes_under(ar)
             .into_iter()
             .find(|(_, n)| *n == voc)
             .map(|(a, _)| a)
@@ -1008,6 +1024,11 @@ fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01B3);
     }
     h
+}
+
+/// What a navigation step takes from the entry it lands on: the label.
+fn decode_key(key: &[u8], _record: &[u8]) -> SplId {
+    xtc_splid::decode(key).expect("corrupt key")
 }
 
 fn index_key(name: VocId, encoded_splid: &[u8]) -> Vec<u8> {

@@ -9,9 +9,11 @@
 //! index (Figure 6b).
 
 use crate::error::StorageError;
-use crate::latch::Latch;
+use crate::latch::{Latch, WriteGuard};
 use crate::page;
 use crate::pool::{PageId, PagePool, StorageStats, NO_PAGE};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use xtc_obs::{stripe, CacheLine, STRIPES};
 
 /// Tuning knobs for a [`BTree`].
 #[derive(Debug, Clone)]
@@ -108,8 +110,22 @@ struct Inner {
 /// in the experiments dominate page latching by orders of magnitude). The
 /// latch is reader-striped ([`Latch`]): concurrent readers write no
 /// common cache line.
+///
+/// Reads keep their place: each reader stripe remembers the leaf its last
+/// lookup ended on, and the next lookup asks that leaf first
+/// ([`BTree::locate`]) — in document order the next key is almost always
+/// on it, which is the point of the taDOM layout.
 pub struct BTree {
     inner: Latch<Inner>,
+    /// Mutations begun so far; see [`BTree::version`].
+    version: AtomicU64,
+    /// Per reader stripe, the leaf that stripe's last lookup ended on, or
+    /// `NO_PAGE`. A hint is only ever stored under the stripe's read
+    /// latch and every mutation clears all of them before it touches a
+    /// page, so a hint read under the read latch names a live leaf that
+    /// no mutation has touched since. The stripe's lock orders the
+    /// accesses; the atomics only make them data-race free.
+    hints: [CacheLine<AtomicU32>; STRIPES],
     stats: StorageStats,
     config: BTreeConfig,
 }
@@ -152,6 +168,8 @@ impl BTree {
         pool.pin(root);
         BTree {
             inner: Latch::new(Inner { pool, root, len: 0 }),
+            version: AtomicU64::new(0),
+            hints: Default::default(),
             stats,
             config,
         }
@@ -176,20 +194,65 @@ impl BTree {
         self.len() == 0
     }
 
+    /// How many mutations ([`BTree::insert`], [`BTree::remove`],
+    /// [`BTree::remove_range`]) have begun. A mutation counts itself once
+    /// it holds the write latch and before it changes a page, so reads
+    /// made between two equal `version()` results all saw one and the
+    /// same tree — what a caller needs to know that a plan it made
+    /// before waiting for a lock still stands.
+    pub fn version(&self) -> u64 {
+        self.version.load(Ordering::SeqCst)
+    }
+
+    /// The write latch for a mutation: counts it and clears the hints.
+    fn mutate(&self) -> WriteGuard<'_, Inner> {
+        let g = self.inner.write();
+        self.version.fetch_add(1, Ordering::SeqCst);
+        for hint in &self.hints {
+            // Relaxed: ordered against every reader by the stripe locks held.
+            hint.0.store(NO_PAGE, Ordering::Relaxed);
+        }
+        g
+    }
+
+    /// The bytes of the leaf `key` belongs on, and [`page::leaf_search`]'s
+    /// answer there. Asks the stripe's hinted leaf first — two key
+    /// compares ([`page::leaf_covers`]) on a page that is only looked at,
+    /// and read like any other once it is the one — and walks down from
+    /// the root, leaving a new hint, only when the key is not provably on
+    /// it. A hinted leaf that is not in the buffer is not asked: a hint
+    /// never costs I/O the walk would not have done.
+    fn locate<'a>(&self, g: &'a Inner, key: &[u8]) -> (&'a [u8], Result<usize, usize>) {
+        let hint = &self.hints[stripe()].0;
+        let hinted = hint.load(Ordering::Relaxed);
+        if hinted != NO_PAGE && g.pool.peek(hinted).is_some_and(|p| page::leaf_covers(p, key)) {
+            self.stats.count_hint_hit();
+            let p = g.pool.read(hinted);
+            return (p, page::leaf_search(p, key));
+        }
+        self.stats.count_descent();
+        let mut cur = g.root;
+        loop {
+            let p = g.pool.read(cur);
+            if page::page_type(p) == page::TYPE_LEAF {
+                hint.store(cur, Ordering::Relaxed);
+                return (p, page::leaf_search(p, key));
+            }
+            cur = page::inner_descend(p, key).0;
+        }
+    }
+
     /// Looks up the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let g = self.inner.read();
-        let leaf = descend_to_leaf(&g.pool, g.root, key);
-        let p = g.pool.read(leaf);
-        match page::leaf_search(p, key) {
-            Ok(i) => Some(page::leaf_val(p, i).to_vec()),
-            Err(_) => None,
-        }
+        let (p, found) = self.locate(&g, key);
+        found.ok().map(|i| page::leaf_val(p, i).to_vec())
     }
 
     /// `true` if `key` is present.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_some()
+        let g = self.inner.read();
+        self.locate(&g, key).1.is_ok()
     }
 
     /// Inserts or replaces; returns the previous value, if any.
@@ -206,7 +269,7 @@ impl BTree {
                 max: self.max_val(),
             });
         }
-        let mut g = self.inner.write();
+        let mut g = self.mutate();
         let root = g.root;
         let (old, split) = insert_rec(&mut g, root, key, val);
         if let Some((sep, right)) = split {
@@ -220,7 +283,7 @@ impl BTree {
 
     /// Removes `key`; returns the previous value, if any.
     pub fn remove(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let mut g = self.inner.write();
+        let mut g = self.mutate();
         let root = g.root;
         let old = delete_rec(&mut g, root, key)?;
         g.len -= 1;
@@ -228,75 +291,48 @@ impl BTree {
         Some(old)
     }
 
-    /// Smallest entry with key strictly greater than `key`.
-    pub fn next_after(&self, key: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+    /// Hands `f` the smallest entry with key strictly greater than `key`.
+    pub fn next_after<R>(&self, key: &[u8], f: impl FnOnce(&[u8], &[u8]) -> R) -> Option<R> {
         let g = self.inner.read();
-        let leaf = descend_to_leaf(&g.pool, g.root, key);
-        let p = g.pool.read(leaf);
-        let pos = match page::leaf_search(p, key) {
+        let (p, found) = self.locate(&g, key);
+        let pos = match found {
             Ok(i) => i + 1,
             Err(i) => i,
         };
-        entry_at_or_follow(&g.pool, leaf, pos)
+        entry_at_or_after(&g.pool, p, pos, f)
     }
 
-    /// Greatest entry with key strictly less than `key`.
-    pub fn prev_before(&self, key: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+    /// Hands `f` the greatest entry with key strictly less than `key`.
+    pub fn prev_before<R>(&self, key: &[u8], f: impl FnOnce(&[u8], &[u8]) -> R) -> Option<R> {
         let g = self.inner.read();
-        let leaf = descend_to_leaf(&g.pool, g.root, key);
-        let p = g.pool.read(leaf);
-        let pos = match page::leaf_search(p, key) {
-            Ok(i) | Err(i) => i,
-        };
-        if pos > 0 {
-            let p = g.pool.read(leaf);
-            return Some((page::leaf_key(p, pos - 1), page::leaf_val(p, pos - 1).to_vec()));
-        }
-        let mut cur = page::prev_link(p);
-        while cur != NO_PAGE {
-            let p = g.pool.read(cur);
-            let n = page::count(p);
-            if n > 0 {
-                return Some((page::leaf_key(p, n - 1), page::leaf_val(p, n - 1).to_vec()));
-            }
-            cur = page::prev_link(p);
-        }
-        None
+        let (p, found) = self.locate(&g, key);
+        let (Ok(pos) | Err(pos)) = found;
+        entry_before(&g.pool, p, pos, f)
     }
 
     /// The smallest entry.
     pub fn first(&self) -> Option<(Vec<u8>, Vec<u8>)> {
         let g = self.inner.read();
-        let mut cur = g.root;
-        loop {
-            let p = g.pool.read(cur);
-            if page::page_type(p) == page::TYPE_LEAF {
-                return entry_at_or_follow(&g.pool, cur, 0);
-            }
-            cur = page::link(p);
+        let mut p = g.pool.read(g.root);
+        while page::page_type(p) != page::TYPE_LEAF {
+            p = g.pool.read(page::link(p));
         }
+        entry_at_or_after(&g.pool, p, 0, |k, v| (k.to_vec(), v.to_vec()))
     }
 
     /// The greatest entry.
     pub fn last(&self) -> Option<(Vec<u8>, Vec<u8>)> {
         let g = self.inner.read();
-        let mut cur = g.root;
-        loop {
-            let p = g.pool.read(cur);
-            if page::page_type(p) == page::TYPE_LEAF {
-                let n = page::count(p);
-                if n == 0 {
-                    return None; // only the empty root leaf
-                }
-                return Some((page::leaf_key(p, n - 1), page::leaf_val(p, n - 1).to_vec()));
-            }
+        let mut p = g.pool.read(g.root);
+        while page::page_type(p) != page::TYPE_LEAF {
             let n = page::count(p);
-            cur = if n == 0 {
+            p = g.pool.read(if n == 0 {
                 page::link(p)
             } else {
                 page::inner_cell(p, n - 1).1
-            };
+            });
         }
+        entry_before(&g.pool, p, page::count(p), |k, v| (k.to_vec(), v.to_vec()))
     }
 
     /// All entries with `lo < key < hi`, in order, collected under a single
@@ -320,15 +356,12 @@ impl BTree {
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) {
         let g = self.inner.read();
-        let leaf = descend_to_leaf(&g.pool, g.root, lo_excl);
-        let p = g.pool.read(leaf);
-        let mut pos = match page::leaf_search(p, lo_excl) {
+        let (mut p, found) = self.locate(&g, lo_excl);
+        let mut pos = match found {
             Ok(i) => i + 1,
             Err(i) => i,
         };
-        let mut cur = leaf;
         loop {
-            let p = g.pool.read(cur);
             let mut done = false;
             page::leaf_for_each_from(p, pos, |_, k, v| {
                 if k >= hi_excl || !f(k, v) {
@@ -337,13 +370,11 @@ impl BTree {
                 }
                 true
             });
-            if done {
+            let next = page::link(p);
+            if done || next == NO_PAGE {
                 return;
             }
-            cur = page::link(p);
-            if cur == NO_PAGE {
-                return;
-            }
+            p = g.pool.read(next);
             pos = 0;
         }
     }
@@ -360,7 +391,7 @@ impl BTree {
             });
             ks
         };
-        let mut g = self.inner.write();
+        let mut g = self.mutate();
         let mut removed = 0;
         for k in &keys {
             let root = g.root;
@@ -431,28 +462,42 @@ fn visit_pages(pool: &PagePool, page_id: PageId, rep: &mut OccupancyReport) {
     }
 }
 
-fn descend_to_leaf(pool: &PagePool, mut cur: PageId, key: &[u8]) -> PageId {
-    loop {
-        let p = pool.read(cur);
-        if page::page_type(p) == page::TYPE_LEAF {
-            return cur;
-        }
-        cur = page::inner_descend(p, key).0;
-    }
-}
-
-fn entry_at_or_follow(pool: &PagePool, mut leaf: PageId, mut pos: usize) -> Option<(Vec<u8>, Vec<u8>)> {
-    loop {
-        let p = pool.read(leaf);
-        if pos < page::count(p) {
-            return Some((page::leaf_key(p, pos), page::leaf_val(p, pos).to_vec()));
-        }
-        leaf = page::link(p);
-        if leaf == NO_PAGE {
+/// Hands `f` the entry at slot `pos` of leaf `p`, or the first one of the
+/// leaves behind it when `p` ends there.
+fn entry_at_or_after<'a, R>(
+    pool: &'a PagePool,
+    mut p: &'a [u8],
+    mut pos: usize,
+    f: impl FnOnce(&[u8], &[u8]) -> R,
+) -> Option<R> {
+    while pos >= page::count(p) {
+        let next = page::link(p);
+        if next == NO_PAGE {
             return None;
         }
+        p = pool.read(next);
         pos = 0;
     }
+    Some(f(&page::leaf_key(p, pos), page::leaf_val(p, pos)))
+}
+
+/// Hands `f` the entry before slot `pos` of leaf `p`, or the last one of
+/// the leaves ahead of it when `pos` is `p`'s first slot.
+fn entry_before<'a, R>(
+    pool: &'a PagePool,
+    mut p: &'a [u8],
+    mut pos: usize,
+    f: impl FnOnce(&[u8], &[u8]) -> R,
+) -> Option<R> {
+    while pos == 0 {
+        let prev = page::prev_link(p);
+        if prev == NO_PAGE {
+            return None;
+        }
+        p = pool.read(prev);
+        pos = page::count(p);
+    }
+    Some(f(&page::leaf_key(p, pos - 1), page::leaf_val(p, pos - 1)))
 }
 
 /// Grows a new root after the old root split.
@@ -751,12 +796,14 @@ mod tests {
         for i in (0..100u32).map(|i| i * 2) {
             t.insert(&key(i), b"").unwrap();
         }
-        assert_eq!(t.next_after(&key(10)).unwrap().0, key(12));
-        assert_eq!(t.next_after(&key(11)).unwrap().0, key(12));
-        assert_eq!(t.next_after(&key(198)), None);
-        assert_eq!(t.prev_before(&key(10)).unwrap().0, key(8));
-        assert_eq!(t.prev_before(&key(11)).unwrap().0, key(10));
-        assert_eq!(t.prev_before(&key(0)), None);
+        let next = |i| t.next_after(&key(i), |k, _| k.to_vec());
+        let prev = |i| t.prev_before(&key(i), |k, _| k.to_vec());
+        assert_eq!(next(10), Some(key(12)));
+        assert_eq!(next(11), Some(key(12)));
+        assert_eq!(next(198), None);
+        assert_eq!(prev(10), Some(key(8)));
+        assert_eq!(prev(11), Some(key(10)));
+        assert_eq!(prev(0), None);
         assert_eq!(t.first().unwrap().0, key(0));
         assert_eq!(t.last().unwrap().0, key(198));
     }
@@ -930,6 +977,199 @@ mod tests {
         );
         assert!(thin.occupancy() > 0.25, "merged leaves are {:.2} full", thin.occupancy());
         assert_eq!(t.scan_range(b"", b"\xff").len(), n as usize / 8);
+    }
+
+    /// Readers check `get` / `next_after` / `prev_before` against a model
+    /// between the writer's batches of `insert` / `remove` / `remove_range`
+    /// on 256-byte pages: splits, merges, pages freed and their ids reused,
+    /// all under standing hints. One reader more than there are stripes,
+    /// so two of them share one and race on its hint, whichever stripes
+    /// the threads of other tests took.
+    #[test]
+    fn hinted_lookups_agree_with_a_model_from_threads_sharing_a_stripe() {
+        use std::collections::BTreeMap;
+        use std::ops::Bound::{Excluded, Unbounded};
+        use std::sync::{mpsc, RwLock};
+        const READERS: u64 = STRIPES as u64 + 1;
+        const ROUNDS: usize = 250;
+        const KEYS: u64 = 900;
+        let rng = |seed: u64| {
+            let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(seed + 1);
+            move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            }
+        };
+        let t = small_tree();
+        let model = RwLock::new(BTreeMap::<Vec<u8>, Vec<u8>>::new());
+        let reused = std::thread::scope(|s| {
+            // The writer starts each reader's round and hears when it is
+            // over; a reader that fails hangs up and fails the writer.
+            let readers: Vec<_> = (0..READERS)
+                .map(|r| {
+                    let (go, round) = mpsc::channel::<usize>();
+                    let (done, over) = mpsc::channel::<usize>();
+                    let (t, model) = (&t, &model);
+                    s.spawn(move || {
+                        let mut next = rng(r);
+                        for round in round {
+                            let model = model.read().expect("the writer failed");
+                            // A walk in key order, forwards or backwards,
+                            // with a lookup somewhere else after every step.
+                            let mut at = key((next() % KEYS) as u32);
+                            for step in 0..12 {
+                                let (got, want) = if (round as u64 + r).is_multiple_of(2) {
+                                    (
+                                        t.next_after(&at, |k, v| (k.to_vec(), v.to_vec())),
+                                        model.range::<Vec<u8>, _>((Excluded(&at), Unbounded)).next(),
+                                    )
+                                } else {
+                                    (
+                                        t.prev_before(&at, |k, v| (k.to_vec(), v.to_vec())),
+                                        model.range::<Vec<u8>, _>(..&at).next_back(),
+                                    )
+                                };
+                                let want = want.map(|(k, v)| (k.clone(), v.clone()));
+                                assert_eq!(got, want, "round {round} step {step} from {at:?}");
+                                if let Some((k, v)) = got {
+                                    assert_eq!(t.get(&k), Some(v), "round {round}: get of {k:?}");
+                                    at = k;
+                                }
+                                let far = key((next() % KEYS) as u32);
+                                assert_eq!(t.get(&far), model.get(&far).cloned(), "round {round}: get of {far:?}");
+                                assert_eq!(t.contains(&far), model.contains_key(&far));
+                            }
+                            drop(model);
+                            done.send(stripe()).expect("the writer failed");
+                        }
+                    });
+                    (go, over)
+                })
+                .collect();
+            let mut next = rng(READERS);
+            // Freed page ids waiting for reuse, and how many were reused:
+            // a removal only frees and an insert only allocates.
+            let (mut free_list, mut reused) = (0u64, 0u64);
+            for round in 0..ROUNDS {
+                let mut model = model.write().expect("a reader failed");
+                for _ in 0..25 {
+                    let r = next();
+                    let k = key((r % KEYS) as u32);
+                    let (allocs, frees) = (t.stats().page_allocs(), t.stats().page_frees());
+                    match r >> 32 & 7 {
+                        0..=3 => {
+                            let v = r.to_le_bytes()[..(r >> 40 & 7) as usize].to_vec();
+                            assert_eq!(t.insert(&k, &v).unwrap(), model.insert(k, v));
+                        }
+                        4 | 5 => assert_eq!(t.remove(&k), model.remove(&k)),
+                        _ => {
+                            let hi = key((r % KEYS + 1 + (r >> 40) % 80) as u32);
+                            let doomed: Vec<_> = model
+                                .range::<Vec<u8>, _>((Excluded(&k), Excluded(&hi)))
+                                .map(|(k, _)| k.clone())
+                                .collect();
+                            assert_eq!(t.remove_range(&k, &hi), doomed.len());
+                            for k in doomed {
+                                model.remove(&k);
+                            }
+                        }
+                    }
+                    let took = (t.stats().page_allocs() - allocs).min(free_list);
+                    reused += took;
+                    free_list = free_list - took + (t.stats().page_frees() - frees);
+                }
+                if round % 8 == 7 {
+                    // Every key out and in again: the tree collapses to its
+                    // root leaf and regrows, so the page ids the stripes'
+                    // hints held come back as leaves *and* as inner pages.
+                    t.remove_range(b"", &key(KEYS as u32));
+                    for i in 0..KEYS as u32 {
+                        model.insert(key(i), b"back".to_vec());
+                        t.insert(&key(i), b"back").unwrap();
+                    }
+                }
+                drop(model);
+                for (go, _) in &readers {
+                    go.send(round).expect("a reader failed");
+                }
+                let mut stripes: Vec<usize> = readers
+                    .iter()
+                    .map(|(_, over)| over.recv().expect("a reader failed"))
+                    .collect();
+                stripes.sort_unstable();
+                assert!(stripes.windows(2).any(|w| w[0] == w[1]), "no two readers shared a stripe");
+            }
+            reused
+        });
+        assert!(reused > 0, "no freed page id was handed out again");
+        let pool = t.pool_stats();
+        assert!(pool.hint_hits > 0 && pool.descents > 0, "{pool:?}");
+        assert_eq!(t.len(), model.read().unwrap().len());
+    }
+
+    /// Only a mutation evicts, and it clears the hints first, so a hinted
+    /// leaf is resident as things stand. `locate` does not lean on that:
+    /// with a stale hint planted by hand, a lookup faults in exactly the
+    /// pages it faults in on a twin tree without the hint.
+    #[test]
+    fn a_hinted_leaf_that_is_not_resident_is_not_asked() {
+        let dir = std::env::temp_dir().join(format!("xtc-btree-hint-{}", std::process::id()));
+        let build = |file: &str| {
+            let t = BTree::with_config(
+                BTreeConfig {
+                    page_size: 512,
+                    max_resident: Some(4),
+                    policy: crate::EvictPolicy::CleanLru,
+                    backend: crate::PageBackendConfig::File { path: dir.join(file) },
+                    ..BTreeConfig::default()
+                },
+                StorageStats::default(),
+            );
+            for i in 0..3000 {
+                t.insert(&key(i), b"value").unwrap();
+            }
+            // A lookup leaves its leaf as the hint; the inserts that
+            // follow clear it and push that leaf out of the buffer.
+            assert!(t.get(&key(100)).is_some());
+            let leaf = t.hints[stripe()].0.load(Ordering::Relaxed);
+            assert_ne!(leaf, NO_PAGE);
+            t.flush_dirty(u64::MAX);
+            for i in 3000..3200 {
+                t.insert(&key(i), b"value").unwrap();
+            }
+            t.flush_dirty(u64::MAX);
+            assert!(t.inner.read().pool.peek(leaf).is_none(), "leaf {leaf} still buffered");
+            (t, leaf)
+        };
+        let (hinted, leaf) = build("hinted.pages");
+        let (plain, twin) = build("plain.pages");
+        assert_eq!(leaf, twin, "same history, same page ids");
+        // On the hinted leaf, beside it, and far from it.
+        for probe in [101, 99, 130, 2000] {
+            assert!(hinted.inner.read().pool.peek(leaf).is_none(), "leaf {leaf} still buffered");
+            hinted.hints[stripe()].0.store(leaf, Ordering::Relaxed);
+            plain.hints[stripe()].0.store(NO_PAGE, Ordering::Relaxed);
+            let before = (hinted.pool_stats(), plain.pool_stats());
+            assert_eq!(hinted.get(&key(probe)), plain.get(&key(probe)));
+            let after = (hinted.pool_stats(), plain.pool_stats());
+            assert_eq!(
+                after.0.misses - before.0.misses,
+                after.1.misses - before.1.misses,
+                "fault-ins for key {probe}"
+            );
+            assert_eq!(after.0.hint_hits, before.0.hint_hits, "key {probe} was answered by the hint");
+            // Evict what the probe brought in, on both trees alike.
+            for t in [&hinted, &plain] {
+                for i in 3000..3200 {
+                    t.insert(&key(i), b"value").unwrap();
+                }
+                t.flush_dirty(u64::MAX);
+            }
+        }
+        drop((hinted, plain));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

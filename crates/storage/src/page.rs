@@ -182,6 +182,21 @@ pub fn leaf_key(p: &[u8], i: usize) -> Vec<u8> {
     key
 }
 
+/// Whether `key` provably belongs on this leaf: at or above its first key
+/// and below the key of a restart near its end (the one covering the last
+/// slot whose index is a multiple of the interval — on a page still laid
+/// out by its load that slot itself). Both are stored in full, so this is
+/// two slice compares; the cells behind that restart would need decoding
+/// and get "no".
+pub fn leaf_covers(p: &[u8], key: &[u8]) -> bool {
+    let n = count(p);
+    if n == 0 || key < leaf_suffix_parts(p, 0).1 {
+        return false;
+    }
+    let aligned = (n - 1) - (n - 1) % RESTART_INTERVAL;
+    key < leaf_suffix_parts(p, aligned + 1 - run_back(p, aligned + 1)).1
+}
+
 /// Binary search in a leaf: `Ok(i)` if `key` is at slot `i`, `Err(i)` for
 /// the insertion position. Narrows `lo..hi` over restart cells (full
 /// keys, direct slice compare) until one run is left, then decodes it.
@@ -617,7 +632,12 @@ mod tests {
         assert_eq!(entries(p), model, "{ctx}: entries");
         assert!(leaf_live_bytes(p) <= used_bytes(p), "{ctx}: live bytes exceed used bytes");
         let mut run = 0;
+        // `leaf_covers` says yes from the first key up to the restart that
+        // covers the last slot on a multiple of the interval.
+        let aligned = model.len().saturating_sub(1) / RESTART_INTERVAL * RESTART_INTERVAL;
+        let fence = (0..model.len().min(aligned + 1)).rev().find(|&i| leaf_suffix_parts(p, i).0 == 0);
         for (i, (k, v)) in model.iter().enumerate() {
+            assert_eq!(leaf_covers(p, k), Some(i) < fence, "{ctx}: covers slot {i}");
             let (shared, suffix) = leaf_suffix_parts(p, i);
             run = if shared == 0 { 1 } else { run + 1 };
             assert!(i > 0 || shared == 0, "{ctx}: slot 0 is not a restart");
@@ -638,12 +658,16 @@ mod tests {
                 if after { Err(i + 1) } else { Ok(i + 1) },
                 "{ctx}: gap after slot {i}"
             );
+            let below_fence = Some(i + usize::from(!after)) < fence;
+            assert_eq!(leaf_covers(p, &gap), below_fence, "{ctx}: covers gap after slot {i}");
         }
         if let Some((first, _)) = model.first().filter(|(k, _)| !k.is_empty()) {
             let below = &first[..first.len() - 1];
             assert_eq!(leaf_search(p, below), Err(0), "{ctx}: below the first key");
+            assert!(!leaf_covers(p, below), "{ctx}: covers below the first key");
         }
         assert_eq!(leaf_search(p, &[0xFF; 40]), Err(model.len()), "{ctx}: above the last key");
+        assert!(!leaf_covers(p, &[0xFF; 40]), "{ctx}: covers above the last key");
     }
 
     /// SplitMix64.

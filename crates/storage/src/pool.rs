@@ -179,6 +179,11 @@ struct StatsInner {
     page_allocs: AtomicU64,
     page_frees: AtomicU64,
     buffer_hits: Counter,
+    /// Lookups that walked from the root, and lookups the reader stripe's
+    /// leaf hint answered instead (`BTree::locate`). Striped: one of the
+    /// two is bumped by every read of every client thread.
+    descents: Counter,
+    hint_hits: Counter,
     buffer_misses: AtomicU64,
     page_flushes: AtomicU64,
     evictions: AtomicU64,
@@ -342,6 +347,14 @@ impl StorageStats {
         self.inner.buffer_hits.add(1);
     }
 
+    pub(crate) fn count_descent(&self) {
+        self.inner.descents.add(1);
+    }
+
+    pub(crate) fn count_hint_hit(&self) {
+        self.inner.hint_hits.add(1);
+    }
+
     pub(crate) fn count_miss(&self) {
         self.inner.buffer_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -397,6 +410,10 @@ pub struct PoolStats {
     pub filter_negatives: u64,
     /// Index probes that consulted a negative-lookup filter.
     pub filter_probes: u64,
+    /// B\*-tree lookups that walked from the root.
+    pub descents: u64,
+    /// B\*-tree lookups answered on the reader stripe's hinted leaf.
+    pub hint_hits: u64,
     /// Currently dirty pages (mutated since their last flush).
     pub dirty: usize,
     /// Currently resident pages.
@@ -880,6 +897,17 @@ impl PagePool {
         &mut frame.data
     }
 
+    /// The page's bytes if it is in the buffer, uncounted and with no
+    /// trace in the access history: a look at a buffered page that is not
+    /// yet known to be the page wanted ([`PagePool::read`] once it is).
+    pub fn peek(&self, id: PageId) -> Option<&[u8]> {
+        let frame = self.frames[id as usize].as_ref()?;
+        frame
+            .resident
+            .load(Ordering::Relaxed)
+            .then_some(&*frame.data)
+    }
+
     /// Pins a page: it will not be evicted until unpinned.
     pub fn pin(&mut self, id: PageId) {
         if let Some(frame) = self.frames[id as usize].as_mut() {
@@ -1118,6 +1146,8 @@ impl PagePool {
             forced_writebacks: self.stats.inner.forced_writebacks.load(Ordering::Relaxed),
             filter_negatives: self.stats.inner.filter_negatives.load(Ordering::Relaxed),
             filter_probes: self.stats.inner.filter_probes.load(Ordering::Relaxed),
+            descents: self.stats.inner.descents.load(),
+            hint_hits: self.stats.inner.hint_hits.load(),
             dirty: self.dirty_pages(),
             resident: self.resident.load(Ordering::Relaxed),
             live: self.live_pages(),

@@ -37,7 +37,7 @@ fn check(t: &BTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, step: usize) {
     // Backward iteration via prev_before.
     let mut cur = vec![0xFFu8; 40];
     let mut seen = 0;
-    while let Some((k, _)) = t.prev_before(&cur) {
+    while let Some(k) = t.prev_before(&cur, |k, _| k.to_vec()) {
         seen += 1;
         assert!(seen <= model.len(), "step {step}: backward cycle");
         cur = k;

@@ -82,13 +82,13 @@ fn btree_matches_model() {
         assert_eq!(tree.len(), model.len(), "len diverged (case {case})");
         // next_after / prev_before agree with the model at every key.
         for k in &keys {
-            let got = tree.next_after(k);
+            let got = tree.next_after(k, |k, v| (k.to_vec(), v.to_vec()));
             let want = model
                 .range::<Vec<u8>, _>((Bound::Excluded(k.clone()), Bound::Unbounded))
                 .next()
                 .map(|(k, v)| (k.clone(), v.clone()));
             assert_eq!(got, want, "next_after diverged (case {case})");
-            let got = tree.prev_before(k);
+            let got = tree.prev_before(k, |k, v| (k.to_vec(), v.to_vec()));
             let want = model
                 .range::<Vec<u8>, _>((Bound::Unbounded, Bound::Excluded(k.clone())))
                 .next_back()

@@ -183,6 +183,10 @@ pub struct PoolReport {
     pub filter_probes: u64,
     /// Index probes the filter answered "absent" (descent skipped).
     pub filter_negatives: u64,
+    /// B\*-tree lookups that walked from the root.
+    pub descents: u64,
+    /// B\*-tree lookups answered on the reader stripe's hinted leaf.
+    pub hint_hits: u64,
 }
 
 impl PoolReport {
@@ -198,6 +202,8 @@ impl PoolReport {
             ghost_hits: after.ghost_hits - before.ghost_hits,
             filter_probes: after.filter_probes - before.filter_probes,
             filter_negatives: after.filter_negatives - before.filter_negatives,
+            descents: after.descents - before.descents,
+            hint_hits: after.hint_hits - before.hint_hits,
         }
     }
 
@@ -208,6 +214,16 @@ impl PoolReport {
             return 0.0;
         }
         self.hits as f64 / total as f64
+    }
+
+    /// Fraction of B\*-tree lookups that kept their place: answered on the
+    /// hinted leaf, no walk from the root.
+    pub fn hint_hit_rate(&self) -> f64 {
+        let total = self.hint_hits + self.descents;
+        if total == 0 {
+            return 0.0;
+        }
+        self.hint_hits as f64 / total as f64
     }
 }
 

@@ -1,8 +1,11 @@
 //! End-to-end tests across all crates: generated documents, concurrent
 //! TaMix workloads, and structural consistency afterwards.
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::time::Duration;
 use xtc::core::IsolationLevel;
+use xtc::tamix::txns::{run_txn, Pacing};
 use xtc::tamix::{bib, run_cluster1, BibConfig, TamixParams, TxnKind};
 
 /// After a concurrent CLUSTER1-style run, the document must still satisfy
@@ -167,5 +170,46 @@ fn lock_depth_zero_is_a_document_lock() {
         "depth 4 must beat the document lock: {} vs {}",
         writers(&r4),
         writers(&r0)
+    );
+}
+
+/// One TAqueryBook, single user, on a paper-size document whose books all
+/// have one shape, with the draw narrowed to `b0`: nothing here depends
+/// on the random stream, so both counts are exact. The lock requests are
+/// the protocol's business and must not notice how the store finds its
+/// nodes; the page reads are what a leaf hint and a version-checked
+/// verify are for — before them this transaction read 1 725 pages, a
+/// root-to-leaf walk per node and two per navigation step.
+#[test]
+fn a_query_book_costs_its_locks_and_a_third_of_the_page_reads() {
+    const LOCK_REQUESTS: u64 = 890;
+    const PARENT_PAGE_READS: u64 = 1725;
+    let doc = BibConfig {
+        chapters: (7, 7),
+        lends: (10, 10),
+        ..BibConfig::paper()
+    };
+    let db = xtc::core::XtcDb::new(xtc::core::XtcConfig {
+        protocol: "taDOM3+".to_string(),
+        isolation: IsolationLevel::Repeatable,
+        lock_depth: 4,
+        ..xtc::core::XtcConfig::default()
+    });
+    bib::generate_into(&db, &doc);
+    let draw = BibConfig {
+        books: 1,
+        ..doc.clone()
+    };
+    let mut rng = SmallRng::seed_from_u64(0);
+    let (locks, reads) = (db.lock_table().requests(), db.store().stats().page_reads());
+    assert!(run_txn(&db, TxnKind::QueryBook, &draw, &mut rng, Pacing::default()).unwrap());
+    let (locks, reads) = (
+        db.lock_table().requests() - locks,
+        db.store().stats().page_reads() - reads,
+    );
+    assert_eq!(locks, LOCK_REQUESTS, "lock requests of one TAqueryBook");
+    assert!(
+        reads * 3 <= PARENT_PAGE_READS,
+        "one TAqueryBook read {reads} pages, more than a third of {PARENT_PAGE_READS}"
     );
 }
