@@ -149,12 +149,13 @@ fn sweep(
             };
             eprintln!(
                 "figs: {protocol} iso={} depth={depth}: committed={:.0} deadlocks={:.0} \
-                 timeouts={} cache-hit={:.1}%{}",
+                 timeouts={} cache-hit={:.1}% memo={:.1}%{}",
                 isolation.name(),
                 cell.committed(),
                 cell.deadlocks(),
                 cell.runs.iter().map(|r| r.timeout_aborts()).sum::<u64>(),
                 cell.avg(|r| r.cache_hit_rate()) * 100.0,
+                cell.avg(|r| r.memo_share()) * 100.0,
                 match cell.runs.first().and_then(|r| r.txn_deadline_us) {
                     Some(us) => format!(" deadline={us}µs"),
                     None => String::new(),

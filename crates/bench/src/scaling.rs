@@ -14,7 +14,10 @@
 //! `one` row — the layer ladder of `perf/` cannot show this: its rungs
 //! are single-threaded — and one client's TAqueryBook must read at most a
 //! third of the pages it read when every node cost a walk from the root,
-//! so that walk cannot come back unnoticed. The report is checked in as
+//! so that walk cannot come back unnoticed; and the path memo must answer
+//! most of that transaction's lock requests — it re-asks its ancestor
+//! path for every sibling — while the number of requests stays what it
+//! was before there was a memo. The report is checked in as
 //! `BENCH_scaling.json`.
 
 use crate::cli::Flags;
@@ -34,6 +37,18 @@ const MIN_SHARED_SPEEDUP: f64 = 1.5;
 /// kept their place (a root-to-leaf walk per node, two per navigation
 /// step), as this bench counted them on that commit.
 const WALK_PER_NODE_PAGE_READS: f64 = 1767.0;
+/// The least share of one client's TAqueryBook lock requests the path memo
+/// must answer (0.74 when the gate was written: at lock depth 4 three of
+/// every four requests re-ask the path just locked).
+const MIN_MEMO_SHARE: f64 = 0.6;
+/// Lock requests per TAqueryBook of the `query_only` rows on the commit
+/// before the memo, as this bench counted them there (912 / 912 / 904):
+/// the memo books every request it answers, so the figure may not move.
+/// Which books a row draws depends on how many it gets through, worth
+/// ± 2 % here; a memo that dropped one request per answered path would
+/// be off by 18 %.
+const QUERYBOOK_LOCK_REQUESTS: f64 = 910.0;
+const LOCK_REQUESTS_TOLERANCE: f64 = 0.05;
 /// Discarded before each slice (caches, lazy set-up, thread start).
 const WARMUP: Duration = Duration::from_millis(300);
 /// Each row's window is cut into this many slices, taken in turn with
@@ -49,11 +64,13 @@ struct Cell {
     commits: u64,
     failed: u64,
     /// Transactions run to their end, warm-up and the one in flight at
-    /// the window's close included: what the store counters below cover.
+    /// the window's close included: what the engine counters below cover.
     finished: u64,
     page_reads: u64,
     descents: u64,
     hint_hits: u64,
+    lock_requests: u64,
+    memo_hits: u64,
 }
 
 impl Cell {
@@ -75,10 +92,10 @@ fn build(bib: &BibConfig) -> Arc<XtcDb> {
     db
 }
 
-/// Page reads, root descents and hint hits so far, over the distinct
-/// documents of a row.
-fn store_counters(dbs: &[Arc<XtcDb>]) -> [u64; 3] {
-    let mut sum = [0; 3];
+/// Page reads, root descents, hint hits, lock requests and path-memo
+/// answers so far, over the distinct documents of a row.
+fn engine_counters(dbs: &[Arc<XtcDb>]) -> [u64; 5] {
+    let mut sum = [0; 5];
     for (i, db) in dbs.iter().enumerate() {
         if dbs[..i].iter().any(|seen| Arc::ptr_eq(seen, db)) {
             continue;
@@ -87,6 +104,8 @@ fn store_counters(dbs: &[Arc<XtcDb>]) -> [u64; 3] {
         sum[0] += db.store().stats().page_reads();
         sum[1] += pool.descents;
         sum[2] += pool.hint_hits;
+        sum[3] += db.lock_table().requests();
+        sum[4] += db.lock_table().memo_hits();
     }
     sum
 }
@@ -175,15 +194,17 @@ pub fn run(flags: &Flags) {
         ("two_separate", vec![a, b]),
     ];
     let mut rows: Vec<Row> = Vec::new();
-    let (mut mix_speedup, mut query_page_reads) = (f64::NAN, f64::NAN);
+    let (mut mix_speedup, mut query_page_reads, mut query_memo_share) =
+        (f64::NAN, f64::NAN, f64::NAN);
+    let mut query_lock_requests = Vec::new();
     for (mix, query_only) in [("cluster1", false), ("query_only", true)] {
         let mut cells: [Cell; 3] = Default::default();
         for round in 0..SLICES {
             for (cell, (_, dbs)) in cells.iter_mut().zip(&configs) {
                 let slice_seed = seed.wrapping_add(104_729 * round as u64);
-                let before = store_counters(dbs);
+                let before = engine_counters(dbs);
                 let (commits, failed, finished) = drive(dbs, &bib, query_only, slice_seed, slice);
-                let after = store_counters(dbs);
+                let after = engine_counters(dbs);
                 cell.rates.push(commits as f64 / slice.as_secs_f64());
                 cell.commits += commits;
                 cell.failed += failed;
@@ -191,6 +212,8 @@ pub fn run(flags: &Flags) {
                 cell.page_reads += after[0] - before[0];
                 cell.descents += after[1] - before[1];
                 cell.hint_hits += after[2] - before[2];
+                cell.lock_requests += after[3] - before[3];
+                cell.memo_hits += after[4] - before[4];
             }
         }
         let one = cells[0].txn_per_s();
@@ -202,10 +225,17 @@ pub fn run(flags: &Flags) {
                 hint_hits: cell.hint_hits,
                 ..PoolReport::default()
             };
+            let memo_share = cell.memo_hits as f64 / cell.lock_requests.max(1) as f64;
             match (mix, *name) {
                 ("cluster1", "two_shared") => mix_speedup = speedup,
-                ("query_only", "one") => query_page_reads = per_txn(cell.page_reads),
+                ("query_only", "one") => {
+                    query_page_reads = per_txn(cell.page_reads);
+                    query_memo_share = memo_share;
+                }
                 _ => {}
+            }
+            if query_only {
+                query_lock_requests.push(per_txn(cell.lock_requests));
             }
             rows.push(row! {
                 "mix": mix, "clients": *name, "txn_per_s": cell.txn_per_s(),
@@ -213,6 +243,8 @@ pub fn run(flags: &Flags) {
                 "page_reads_per_txn": per_txn(cell.page_reads),
                 "descents_per_txn": per_txn(cell.descents),
                 "hint_hit_rate": lookups.hint_hit_rate(),
+                "lock_requests_per_txn": per_txn(cell.lock_requests),
+                "memo_share": memo_share,
             });
         }
     }
@@ -222,6 +254,7 @@ pub fn run(flags: &Flags) {
         "protocol": "taDOM3+", "isolation": "repeatable", "lock_depth": 4u64,
         "cluster1_two_shared_vs_one": mix_speedup,
         "query_only_one_page_reads_per_txn": query_page_reads,
+        "query_only_one_memo_share": query_memo_share,
     };
     report.table(
         "cells",
@@ -246,6 +279,19 @@ pub fn run(flags: &Flags) {
         format!(
             "one client's TAqueryBook read {query_page_reads:.0} pages \
              (need a third of {WALK_PER_NODE_PAGE_READS:.0}, the figure with a walk from the root per node)"
+        ),
+    );
+    let requests_unchanged = query_lock_requests
+        .iter()
+        .all(|r| (r / QUERYBOOK_LOCK_REQUESTS - 1.0).abs() <= LOCK_REQUESTS_TOLERANCE);
+    report.gate(
+        "paths_asked_once",
+        query_memo_share >= MIN_MEMO_SHARE && requests_unchanged,
+        format!(
+            "the path memo answered {query_memo_share:.2} of one client's TAqueryBook lock requests \
+             (need {MIN_MEMO_SHARE}); requests per TAqueryBook {query_lock_requests:.0?} \
+             (need {QUERYBOOK_LOCK_REQUESTS:.0} ± {:.0} % on every row)",
+            LOCK_REQUESTS_TOLERANCE * 100.0
         ),
     );
     report.finish();

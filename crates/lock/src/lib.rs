@@ -24,6 +24,7 @@
 
 pub mod algebra;
 mod error;
+mod hash;
 mod meta;
 mod modes;
 mod table;
@@ -35,4 +36,4 @@ pub use modes::{Annex, Conversion, ModeIdx, ModeTable};
 pub use table::{
     Acquired, DeadlockStats, EdgeKind, FamilyId, LockName, LockTable, LockTarget, VictimPolicy,
 };
-pub use txn::{IsolationLevel, LockClass, TxnHandle, TxnId, TxnRegistry};
+pub use txn::{IsolationLevel, LockClass, PathLocks, TxnHandle, TxnId, TxnRegistry};

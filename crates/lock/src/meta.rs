@@ -15,7 +15,7 @@
 use crate::error::LockError;
 use crate::modes::ModeIdx;
 use crate::table::{Acquired, EdgeKind, FamilyId, LockName, LockTable, LockTarget};
-use crate::txn::{IsolationLevel, LockClass, TxnHandle};
+use crate::txn::{IsolationLevel, LockClass, PathLocks, TxnHandle};
 use xtc_splid::SplId;
 
 /// Read-only document access a protocol needs while mapping meta-locks:
@@ -160,6 +160,41 @@ impl LockCtx<'_> {
                 }
             }
         }
+    }
+
+    /// Locks the ancestor path of `target` root first: `path_mode` on
+    /// every ancestor but the parent, which gets `parent_mode` (§2: the
+    /// intention locks that precede every node lock, derived from the
+    /// SPLID alone). A path the transaction has just locked — the
+    /// previous sibling's — is answered from its path memo; the memo is
+    /// renewed only here, after every request of the walk was granted.
+    pub fn lock_path(
+        &self,
+        family: FamilyId,
+        target: &SplId,
+        path_mode: ModeIdx,
+        parent_mode: ModeIdx,
+        class: LockClass,
+    ) -> Result<(), LockError> {
+        let Some(parent) = target.parent() else {
+            return Ok(());
+        };
+        let path = PathLocks {
+            family,
+            parent,
+            path_mode,
+            parent_mode,
+            class,
+        };
+        if self.table.lock_remembered_path(self.txn, &path)? {
+            return Ok(());
+        }
+        for anc in path.parent.ancestors().rev() {
+            self.lock_node(family, &anc, path_mode, class)?;
+        }
+        self.lock_node(family, &path.parent, parent_mode, class)?;
+        self.table.remember_path(self.txn, path);
+        Ok(())
     }
 
     /// Acquires `mode` on an index-key value in `family`.

@@ -8,13 +8,14 @@
 //! other — exactly the three separate matrices of Figure 1.
 
 use crate::error::LockError;
+use crate::hash::{shard_of, NameMap};
 use crate::modes::{Annex, ModeIdx, ModeTable};
-use crate::txn::{LockClass, TxnHandle, TxnId, TxnRegistry};
+use crate::txn::{LockClass, PathLocks, TxnHandle, TxnId, TxnRegistry};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xtc_obs::{CostKind, Counter, EventKind, Obs};
@@ -150,14 +151,37 @@ struct LockHead {
 }
 
 impl LockHead {
+    fn has_waiters(&self) -> bool {
+        !self.queue.is_empty() || !self.converting.is_empty()
+    }
+
     fn is_unused(&self) -> bool {
-        self.granted.is_empty() && self.queue.is_empty() && self.converting.is_empty()
+        self.granted.is_empty() && !self.has_waiters()
     }
 }
 
 struct Shard {
-    state: Mutex<HashMap<LockName, LockHead>>,
+    state: Mutex<NameMap<LockHead>>,
     cv: Condvar,
+    /// Requests in a `queue` or `converting` list of this shard's heads:
+    /// who might be blocked on `cv`. Changed under `state` where those
+    /// lists change; read without it by deadlock resolution, which holds
+    /// another shard's mutex. `SeqCst` on both sides, paired with the
+    /// victim's abort flag: either the resolver's load sees the waiter's
+    /// increment and wakes the shard, or the waiter's next flag check
+    /// (it makes one before every wait) sees the mark.
+    waiters: AtomicUsize,
+}
+
+impl Shard {
+    /// Wakes the shard's waiters, if it has any: with the offline
+    /// `parking_lot` a notify is a futex call whether or not anyone
+    /// listens.
+    fn wake(&self) {
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_all();
+        }
+    }
 }
 
 #[derive(Default)]
@@ -231,6 +255,8 @@ pub struct LockTable {
     table_requests: Counter,
     /// Requests served from the per-transaction lock cache.
     cache_hits: Counter,
+    /// Cache hits answered by the path memo, without a probe.
+    memo_hits: Counter,
     /// Requests per (family, mode) — the per-mode histogram of §4.1's
     /// lock-manager metrics.
     mode_requests: Vec<Vec<Counter>>,
@@ -258,8 +284,9 @@ impl LockTable {
         let shard_count = 64;
         let shards = (0..shard_count)
             .map(|_| Shard {
-                state: Mutex::new(HashMap::new()),
+                state: Mutex::new(NameMap::default()),
                 cv: Condvar::new(),
+                waiters: AtomicUsize::new(0),
             })
             .collect();
         let mode_requests = families
@@ -279,6 +306,7 @@ impl LockTable {
             requests: Counter::default(),
             table_requests: Counter::default(),
             cache_hits: Counter::default(),
+            memo_hits: Counter::default(),
             mode_requests,
             obs: Obs::default(),
             failpoint_scope: xtc_failpoint::GLOBAL,
@@ -368,6 +396,12 @@ impl LockTable {
         self.cache_hits.load()
     }
 
+    /// Cache hits the path memo answered without probing the held map —
+    /// the requests of an ancestor path the transaction had just locked.
+    pub fn memo_hits(&self) -> u64 {
+        self.memo_hits.load()
+    }
+
     /// Lock requests per mode: `(family name, mode name, count)` for
     /// every mode that was requested at least once.
     pub fn requests_by_mode(&self) -> Vec<(&'static str, String, u64)> {
@@ -389,9 +423,7 @@ impl LockTable {
     }
 
     fn shard(&self, name: &LockName) -> &Shard {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[shard_of(name, self.shards.len())]
     }
 
     /// Stable-within-a-run identity hash of a lock name for trace events
@@ -422,6 +454,91 @@ impl LockTable {
         self.lock_with(&handle, name, mode, class, annex_done)
     }
 
+    /// What every request starts with, cache hit or not, in the order
+    /// fault accounting depends on: count the request, evaluate the
+    /// `lock.acquire` failpoint, count the mode, check the abort flag. An
+    /// injected error leaves the request counted and its mode not.
+    #[inline]
+    fn prologue(&self, txn: &TxnHandle, family: FamilyId, mode: ModeIdx) -> Result<(), LockError> {
+        self.requests.add(1);
+        match xtc_failpoint::eval_in(self.failpoint_scope, "lock.acquire") {
+            Some(xtc_failpoint::FailAction::Delay(d)) => std::thread::sleep(d),
+            Some(xtc_failpoint::FailAction::Error) => return Err(LockError::Injected),
+            None => {}
+        }
+        self.mode_counter(family, mode).add(1);
+        if txn.is_aborted() {
+            return Err(LockError::Aborted);
+        }
+        Ok(())
+    }
+
+    fn mode_counter(&self, family: FamilyId, mode: ModeIdx) -> &Counter {
+        let table = self.family(family);
+        assert!(
+            (mode as usize) < table.len(),
+            "mode index {mode} out of range for family {}",
+            table.family()
+        );
+        &self.mode_requests[family as usize][mode as usize]
+    }
+
+    /// Whether the path memo may answer: it stands in for cache hits, so
+    /// it is off with the cache, and a trace wants an event per request.
+    fn memo_enabled(&self) -> bool {
+        self.cache_enabled && !self.obs.is_tracing()
+    }
+
+    /// Answers all requests of `path` at once if the transaction's path
+    /// memo covers it, returning whether it did. The memo says each of
+    /// them would be a cache hit, so they are booked as such — every
+    /// request on `requests`, its mode's counter and `cache_hits` — and
+    /// no name is built, hashed or probed. The failpoint and the abort
+    /// flag are per request: with failpoints compiled in, or once the
+    /// transaction is marked, the requests are walked root first through
+    /// the same [prologue](LockTable::prologue) `lock_with` runs, so a
+    /// fault lands on the same request with the same counts before it.
+    pub fn lock_remembered_path(
+        &self,
+        txn: &TxnHandle,
+        path: &PathLocks,
+    ) -> Result<bool, LockError> {
+        if !self.memo_enabled() || !txn.path_remembered(path) {
+            return Ok(false);
+        }
+        let above_parent = path.parent.level() as u64;
+        if cfg!(feature = "failpoints") || txn.is_aborted() {
+            for i in 0..=above_parent {
+                let mode = if i < above_parent {
+                    path.path_mode
+                } else {
+                    path.parent_mode
+                };
+                self.prologue(txn, path.family, mode)?;
+                self.cache_hits.add(1);
+                self.memo_hits.add(1);
+            }
+        } else {
+            let requests = above_parent + 1;
+            self.requests.add(requests);
+            self.mode_counter(path.family, path.path_mode)
+                .add(above_parent);
+            self.mode_counter(path.family, path.parent_mode).add(1);
+            self.cache_hits.add(requests);
+            self.memo_hits.add(requests);
+        }
+        Ok(true)
+    }
+
+    /// Records that every request of `path` was just granted, for
+    /// [`lock_remembered_path`](LockTable::lock_remembered_path) to
+    /// answer the next child of the same parent.
+    pub fn remember_path(&self, txn: &TxnHandle, path: PathLocks) {
+        if self.memo_enabled() {
+            txn.remember_path(path);
+        }
+    }
+
     /// Requests `mode` on `name` for the transaction behind `txn`,
     /// blocking until granted, deadlock-aborted, or timed out.
     ///
@@ -433,9 +550,9 @@ impl LockTable {
     /// absorbs the requested one under the family's conversion lattice
     /// with no annex obligation, and the cached class is at least as
     /// strong — the request is served without touching any shared state.
-    /// The failpoint, the request counters, and the abort check still run
-    /// on this path so fault injection and `lock_requests` accounting are
-    /// identical with the cache on or off.
+    /// The [prologue](LockTable::prologue) still runs on this path so
+    /// fault injection and `lock_requests` accounting are identical with
+    /// the cache on or off.
     pub fn lock_with(
         &self,
         txn: &TxnHandle,
@@ -444,26 +561,8 @@ impl LockTable {
         class: LockClass,
         annex_done: bool,
     ) -> Result<Acquired, LockError> {
-        self.requests.add(1);
-        match xtc_failpoint::eval_in(self.failpoint_scope, "lock.acquire") {
-            Some(xtc_failpoint::FailAction::Delay(d)) => std::thread::sleep(d),
-            Some(xtc_failpoint::FailAction::Error) => return Err(LockError::Injected),
-            None => {}
-        }
-        if let Some(fam) = self.mode_requests.get(name.family as usize) {
-            if let Some(ctr) = fam.get(mode as usize) {
-                ctr.add(1);
-            }
-        }
-        if txn.is_aborted() {
-            return Err(LockError::Aborted);
-        }
+        self.prologue(txn, name.family, mode)?;
         let table = self.family(name.family);
-        assert!(
-            (mode as usize) < table.len(),
-            "mode index {mode} out of range for family {}",
-            table.family()
-        );
 
         if self.cache_enabled {
             if let Some((held, held_class)) = txn.cached_mode(name) {
@@ -485,12 +584,7 @@ impl LockTable {
         let id = txn.id();
         let shard = self.shard(name);
         let mut g = shard.state.lock();
-        // Avoid `entry(name.clone())`: a SPLID-bearing name clone on every
-        // already-present head is pure overhead; clone only on first use.
-        if !g.contains_key(name) {
-            g.insert(name.clone(), LockHead::default());
-        }
-        let head = g.get_mut(name).expect("lock head just ensured");
+        let head = g.entry(name.clone()).or_default();
 
         if let Some(pos) = head.granted.iter().position(|(t, _)| *t == id) {
             // Conversion path. Record the mode the table actually holds
@@ -524,6 +618,7 @@ impl LockTable {
                 return Ok(Acquired::Granted);
             }
             head.converting.push((id, target));
+            shard.waiters.fetch_add(1, Ordering::SeqCst);
             // Recorded while the shard is still locked and before the
             // requester blocks: an observer that sees this event knows the
             // requester cannot be granted until a release happens — the
@@ -552,6 +647,7 @@ impl LockTable {
             return Ok(Acquired::Granted);
         }
         head.queue.push_back(Waiter { txn: id, mode });
+        shard.waiters.fetch_add(1, Ordering::SeqCst);
         // See the conversion path: recorded under the shard lock, before
         // blocking, so observers can use it as an "is queued" handshake.
         self.obs.record_with(id, || EventKind::LockWait {
@@ -609,7 +705,7 @@ impl LockTable {
     fn wait(
         &self,
         shard: &Shard,
-        mut g: parking_lot::MutexGuard<'_, HashMap<LockName, LockHead>>,
+        mut g: parking_lot::MutexGuard<'_, NameMap<LockHead>>,
         name: &LockName,
         handle: &TxnHandle,
         target: ModeIdx,
@@ -636,9 +732,7 @@ impl LockTable {
         loop {
             // Aborted by another detector's victim choice?
             if handle.is_aborted() {
-                self.remove_request(&mut g, name, txn, converting);
-                self.clear_edges(txn);
-                shard.cv.notify_all();
+                self.remove_request(shard, &mut g, name, txn, converting);
                 charge_wait(false);
                 return Err(LockError::Aborted);
             }
@@ -653,8 +747,7 @@ impl LockTable {
                         .find(|(t, _)| *t == txn)
                         .expect("converter lost its grant");
                     e.1 = target;
-                    self.clear_edges(txn);
-                    shard.cv.notify_all();
+                    self.no_longer_waiting(shard, txn);
                     charge_wait(true);
                     return Ok(());
                 }
@@ -667,8 +760,7 @@ impl LockTable {
                 if self.new_grantable(head, txn, target, table, pos) {
                     head.queue.remove(pos);
                     head.granted.push((txn, target));
-                    self.clear_edges(txn);
-                    shard.cv.notify_all();
+                    self.no_longer_waiting(shard, txn);
                     charge_wait(true);
                     return Ok(());
                 }
@@ -676,15 +768,12 @@ impl LockTable {
             // Record who blocks us and check for deadlock.
             let blockers = self.blockers_of(g.get(name).unwrap(), txn, target, table, converting);
             if let Some(err) = self.update_graph_and_detect(txn, converting, blockers) {
-                self.remove_request(&mut g, name, txn, converting);
-                shard.cv.notify_all();
+                self.remove_request(shard, &mut g, name, txn, converting);
                 charge_wait(false);
                 return Err(err);
             }
             if Instant::now() >= deadline {
-                self.remove_request(&mut g, name, txn, converting);
-                self.clear_edges(txn);
-                shard.cv.notify_all();
+                self.remove_request(shard, &mut g, name, txn, converting);
                 charge_wait(false);
                 return Err(LockError::Timeout);
             }
@@ -799,7 +888,7 @@ impl LockTable {
         }
         // Wake the victim wherever it waits.
         for s in self.shards.iter() {
-            s.cv.notify_all();
+            s.wake();
         }
         None
     }
@@ -808,9 +897,12 @@ impl LockTable {
         self.wfg.lock().edges.remove(&txn);
     }
 
+    /// Withdraws `txn`'s pending request from `name`'s head (the wait
+    /// ended without a grant).
     fn remove_request(
         &self,
-        g: &mut HashMap<LockName, LockHead>,
+        shard: &Shard,
+        g: &mut NameMap<LockHead>,
         name: &LockName,
         txn: TxnId,
         converting: bool,
@@ -825,7 +917,17 @@ impl LockTable {
                 g.remove(name);
             }
         }
+        self.no_longer_waiting(shard, txn);
+    }
+
+    /// `txn`'s request has left its head's `queue` / `converting` list,
+    /// granted or withdrawn (caller holds the shard mutex): it blocks on
+    /// nobody any more, and whoever is still queued on the shard may be
+    /// next.
+    fn no_longer_waiting(&self, shard: &Shard, txn: TxnId) {
+        shard.waiters.fetch_sub(1, Ordering::SeqCst);
         self.clear_edges(txn);
+        shard.wake();
     }
 
     /// The mode `txn` currently holds on `name`, if any.
@@ -855,30 +957,56 @@ impl LockTable {
         if txn.short_count() == 0 {
             return;
         }
-        for name in txn.take_releasable(false) {
-            self.release_one(txn.id(), &name);
-        }
+        self.release(txn.id(), txn.take_releasable(false));
     }
 
     /// Releases every lock of `txn` (commit or abort).
     pub fn release_all(&self, txn: TxnId) {
-        for name in self.registry.take_releasable(txn, true) {
-            self.release_one(txn, &name);
-        }
+        self.release(txn, self.registry.take_releasable(txn, true));
         self.clear_edges(txn);
     }
 
-    fn release_one(&self, txn: TxnId, name: &LockName) {
-        let shard = self.shard(name);
-        let mut g = shard.state.lock();
-        if let Some(head) = g.get_mut(name) {
-            head.granted.retain(|(t, _)| *t != txn);
-            if head.is_unused() {
-                g.remove(name);
+    /// Drops `txn`'s grants on `names`, shard by shard: one mutex round
+    /// per shard, and a wake-up only where a head it touched has someone
+    /// queued or converting — nobody else's grant can depend on it.
+    fn release(&self, txn: TxnId, names: Vec<LockName>) {
+        let mut names: Vec<(usize, LockName)> = names
+            .into_iter()
+            .map(|name| (shard_of(&name, self.shards.len()), name))
+            .collect();
+        names.sort_unstable_by_key(|(shard, _)| *shard);
+        for of_shard in names.chunk_by(|a, b| a.0 == b.0) {
+            let shard = &self.shards[of_shard[0].0];
+            let mut g = shard.state.lock();
+            let mut wake = false;
+            for (_, name) in of_shard {
+                if let Some(head) = g.get_mut(name) {
+                    head.granted.retain(|(t, _)| *t != txn);
+                    wake |= head.has_waiters();
+                    if head.is_unused() {
+                        g.remove(name);
+                    }
+                }
+            }
+            drop(g);
+            if wake {
+                shard.cv.notify_all();
             }
         }
-        drop(g);
-        shard.cv.notify_all();
+    }
+
+    /// Every lock `txn` holds, with the mode the table granted, in no
+    /// particular order (diagnostics; scans all shards).
+    pub fn granted_to(&self, txn: TxnId) -> Vec<(LockName, ModeIdx)> {
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            for (name, head) in shard.state.lock().iter() {
+                if let Some((_, mode)) = head.granted.iter().find(|(t, _)| *t == txn) {
+                    out.push((name.clone(), *mode));
+                }
+            }
+        }
+        out
     }
 
     /// Number of granted lock entries across all shards (diagnostics).

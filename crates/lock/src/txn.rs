@@ -10,12 +10,15 @@
 //! request, so no lock request ever contends on a global mutex for
 //! bookkeeping.
 
+use crate::hash::NameMap;
 use crate::modes::ModeIdx;
-use crate::table::LockName;
+use crate::table::{FamilyId, LockName};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xtc_splid::SplId;
 
 /// Transaction identifier. Monotonically increasing; the deadlock victim
 /// policy ("youngest dies") compares these.
@@ -109,6 +112,39 @@ struct HeldLock {
     epoch: u64,
 }
 
+/// The intention locks in front of a node lock: `path_mode` on every
+/// proper ancestor of `parent`, `parent_mode` on `parent` itself, all in
+/// `family` under `class` — what [`LockCtx::lock_path`](crate::LockCtx::lock_path)
+/// requests for a child of `parent`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PathLocks {
+    /// Mode family of the path's names.
+    pub family: FamilyId,
+    /// Parent of the node about to be locked.
+    pub parent: SplId,
+    /// Mode requested on the proper ancestors of `parent`.
+    pub path_mode: ModeIdx,
+    /// Mode requested on `parent`.
+    pub parent_mode: ModeIdx,
+    /// Class the path is requested under.
+    pub class: LockClass,
+}
+
+/// Held locks by name, and the **path memo**: the last ancestor path
+/// whose every request was granted, with the cache epoch it was granted
+/// in. While the memo stands, each of those names is held in a mode that
+/// covers the mode the path asks for, under a class at least as strong —
+/// the requests of a sibling's path would all be cache hits, and are
+/// answered without probing. Coverage is *not* monotone under conversion
+/// (NR covers IR, NX — NR after a rename — does not), so no argument from
+/// "modes only get stronger" keeps the memo alive: any change of a held
+/// mode drops it, as does any release.
+#[derive(Debug, Default)]
+struct Held {
+    locks: NameMap<HeldLock>,
+    memo: Option<(PathLocks, u64)>,
+}
+
 /// Per-transaction state: everything the lock-acquisition fast path needs
 /// without touching a global mutex.
 ///
@@ -124,7 +160,7 @@ struct HeldLock {
 pub struct TxnHandle {
     id: TxnId,
     aborted: AtomicBool,
-    /// Mirrors `held.len()`; readable by other threads (the `FewestLocks`
+    /// Mirrors `held.locks.len()`; readable by other threads (the `FewestLocks`
     /// victim policy) without taking the per-transaction mutex.
     held_count: AtomicUsize,
     /// How many entries of `held` are [`LockClass::Short`] — lets the
@@ -138,7 +174,7 @@ pub struct TxnHandle {
     /// Held locks by name. Per-transaction mutex: uncontended in normal
     /// operation (a transaction runs on one thread), taken cross-thread
     /// only transiently.
-    held: Mutex<HashMap<LockName, HeldLock>>,
+    held: Mutex<Held>,
 }
 
 impl TxnHandle {
@@ -149,7 +185,7 @@ impl TxnHandle {
             held_count: AtomicUsize::new(0),
             short_count: AtomicUsize::new(0),
             cache_epoch: AtomicU64::new(0),
-            held: Mutex::new(HashMap::new()),
+            held: Mutex::new(Held::default()),
         }
     }
 
@@ -176,19 +212,23 @@ impl TxnHandle {
     /// under the current epoch.
     pub fn record_lock(&self, name: &LockName, mode: ModeIdx, class: LockClass) {
         let epoch = self.cache_epoch.load(Ordering::Relaxed);
-        let mut held = self.held.lock();
-        match held.get_mut(name) {
-            Some(e) => {
+        let held = &mut *self.held.lock();
+        match held.locks.entry(name.clone()) {
+            Entry::Occupied(mut e) => {
+                let e = e.get_mut();
                 if e.class == LockClass::Short && class == LockClass::Long {
                     self.short_count.fetch_sub(1, Ordering::Relaxed);
+                }
+                if e.mode != mode {
+                    held.memo = None;
                 }
                 e.class = e.class.max(class);
                 e.mode = mode;
                 e.epoch = epoch;
             }
-            None => {
-                held.insert(name.clone(), HeldLock { mode, class, epoch });
-                self.held_count.store(held.len(), Ordering::Relaxed);
+            Entry::Vacant(e) => {
+                e.insert(HeldLock { mode, class, epoch });
+                self.held_count.store(held.locks.len(), Ordering::Relaxed);
                 if class == LockClass::Short {
                     self.short_count.fetch_add(1, Ordering::Relaxed);
                 }
@@ -201,8 +241,29 @@ impl TxnHandle {
     /// shared table" — the lock itself may well still be held.
     pub fn cached_mode(&self, name: &LockName) -> Option<(ModeIdx, LockClass)> {
         let held = self.held.lock();
-        let e = held.get(name)?;
+        let e = held.locks.get(name)?;
         (e.epoch == self.cache_epoch.load(Ordering::Relaxed)).then_some((e.mode, e.class))
+    }
+
+    /// Remembers that every request of `path` has just been granted.
+    pub(crate) fn remember_path(&self, path: PathLocks) {
+        let epoch = self.cache_epoch.load(Ordering::Relaxed);
+        self.held.lock().memo = Some((path, epoch));
+    }
+
+    /// Whether the memo answers `path`: the same names and modes, under a
+    /// class no stronger than remembered, in the current cache epoch.
+    pub(crate) fn path_remembered(&self, path: &PathLocks) -> bool {
+        match &self.held.lock().memo {
+            Some((memo, epoch)) => {
+                *epoch == self.cache_epoch.load(Ordering::Relaxed)
+                    && memo.class >= path.class
+                    && (memo.path_mode, memo.parent_mode, memo.family)
+                        == (path.path_mode, path.parent_mode, path.family)
+                    && memo.parent == path.parent
+            }
+            None => false,
+        }
     }
 
     /// Invalidates the lock cache without forgetting held locks: every
@@ -213,24 +274,20 @@ impl TxnHandle {
     }
 
     /// Drains the locks to release: all of them, or only the short ones.
-    /// Removed entries leave the cache with them — a released lock can
-    /// never produce a cache hit.
+    /// Removed entries leave the cache with them, and the path memo goes
+    /// too — a released lock can never produce a cache hit.
     pub fn take_releasable(&self, all: bool) -> Vec<LockName> {
         let mut held = self.held.lock();
+        held.memo = None;
         let names: Vec<LockName> = if all {
-            held.drain().map(|(n, _)| n).collect()
+            held.locks.drain().map(|(n, _)| n).collect()
         } else {
-            let short: Vec<LockName> = held
-                .iter()
-                .filter(|(_, e)| e.class == LockClass::Short)
-                .map(|(n, _)| n.clone())
-                .collect();
-            for n in &short {
-                held.remove(n);
-            }
-            short
+            held.locks
+                .extract_if(|_, e| e.class == LockClass::Short)
+                .map(|(n, _)| n)
+                .collect()
         };
-        self.held_count.store(held.len(), Ordering::Relaxed);
+        self.held_count.store(held.locks.len(), Ordering::Relaxed);
         self.short_count.store(0, Ordering::Relaxed);
         names
     }
@@ -406,6 +463,97 @@ mod tests {
         // Release removes the entry outright.
         assert_eq!(h.take_releasable(true).len(), 1);
         assert_eq!(h.cached_mode(&name(0)), None);
+    }
+
+    fn path(parent: &str, path_mode: ModeIdx, parent_mode: ModeIdx, class: LockClass) -> PathLocks {
+        PathLocks {
+            family: 0,
+            parent: SplId::parse(parent).unwrap(),
+            path_mode,
+            parent_mode,
+            class,
+        }
+    }
+
+    #[test]
+    fn path_memo_answers_the_same_path_only() {
+        let r = TxnRegistry::new();
+        let h = r.begin_handle();
+        let p = path("1.3.5", 1, 2, LockClass::Short);
+        assert!(!h.path_remembered(&p), "nothing remembered yet");
+        h.remember_path(p.clone());
+        assert!(h.path_remembered(&p));
+        assert!(
+            !h.path_remembered(&path("1.3.7", 1, 2, LockClass::Short)),
+            "other parent"
+        );
+        assert!(
+            !h.path_remembered(&path("1.3", 1, 2, LockClass::Short)),
+            "its own ancestor"
+        );
+        assert!(
+            !h.path_remembered(&path("1.3.5", 1, 3, LockClass::Short)),
+            "other parent mode"
+        );
+        assert!(
+            !h.path_remembered(&path("1.3.5", 3, 2, LockClass::Short)),
+            "other path mode"
+        );
+        assert!(
+            !h.path_remembered(&path("1.3.5", 1, 2, LockClass::Long)),
+            "stronger class"
+        );
+        assert!(
+            !h.path_remembered(&PathLocks {
+                family: 1,
+                ..p.clone()
+            }),
+            "other family"
+        );
+        // A path remembered under the long class answers a short request.
+        h.remember_path(path("1.3.5", 1, 2, LockClass::Long));
+        assert!(h.path_remembered(&p));
+    }
+
+    #[test]
+    fn path_memo_is_dropped_by_epoch_release_and_any_changed_mode() {
+        let r = TxnRegistry::new();
+        let p = path("1.3.5", 1, 2, LockClass::Long);
+        let remembered = || {
+            let h = r.begin_handle();
+            h.record_lock(&name(0), 1, LockClass::Long);
+            h.record_lock(&name(1), 1, LockClass::Short);
+            h.remember_path(p.clone());
+            assert!(h.path_remembered(&p));
+            h
+        };
+
+        let h = remembered();
+        h.invalidate_cache();
+        assert!(!h.path_remembered(&p), "epoch bump");
+        h.remember_path(p.clone());
+        assert!(
+            h.path_remembered(&p),
+            "remembered again under the new epoch"
+        );
+
+        let h = remembered();
+        assert_eq!(h.take_releasable(false).len(), 1);
+        assert!(!h.path_remembered(&p), "short-lock release");
+
+        let h = remembered();
+        assert_eq!(h.take_releasable(true).len(), 2);
+        assert!(!h.path_remembered(&p), "release of everything");
+
+        // New names and re-recorded modes leave it; a changed mode — of
+        // any name, on the path or not — drops it.
+        let h = remembered();
+        h.record_lock(&name(2), 4, LockClass::Long);
+        h.record_lock(&name(0), 1, LockClass::Long);
+        h.record_lock(&name(1), 1, LockClass::Long);
+        assert!(h.path_remembered(&p));
+        h.record_lock(&name(2), 5, LockClass::Long);
+        assert!(!h.path_remembered(&p), "a held mode changed");
     }
 
     #[test]

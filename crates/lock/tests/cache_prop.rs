@@ -1,9 +1,10 @@
 //! Seeded property test for the per-transaction lock cache: random
-//! request sequences against a cache-enabled table and a cache-disabled
-//! shadow table must stay observably identical, and the cache itself
-//! must obey its coherence rules (mirror the table's granted mode, never
-//! survive a short-lock release for short entries, an epoch bump, or
-//! release-all).
+//! request sequences — single names and whole ancestor paths, which the
+//! path memo may answer — against a cache-enabled table and a
+//! cache-disabled shadow table must stay observably identical, and the
+//! cache itself must obey its coherence rules (mirror the table's granted
+//! mode, never survive a short-lock release for short entries, an epoch
+//! bump, or release-all).
 //!
 //! The workspace proptest is stubbed offline, so this is a plain
 //! hand-rolled generator: xorshift64* streams over a fixed seed set.
@@ -12,9 +13,36 @@ use std::sync::Arc;
 use std::time::Duration;
 use xtc_lock::algebra::{AlgebraMode, Region, SelfAcc};
 use xtc_lock::{
-    Acquired, LockClass, LockName, LockTable, LockTarget, ModeTable, TxnRegistry,
+    Acquired, DocView, IsolationLevel, LockClass, LockCtx, LockName, LockTable, LockTarget,
+    ModeIdx, ModeTable, TxnHandle, TxnRegistry,
 };
 use xtc_splid::SplId;
+
+/// The S/U/X family has no annex rules: nobody asks for children.
+struct NoDoc;
+
+impl DocView for NoDoc {
+    fn children(&self, _: &SplId) -> Vec<SplId> {
+        unreachable!()
+    }
+    fn subtree_id_owners(&self, _: &SplId) -> Vec<SplId> {
+        unreachable!()
+    }
+    fn subtree_nodes(&self, _: &SplId) -> Vec<SplId> {
+        unreachable!()
+    }
+}
+
+/// Everything the table holds for `txn`, in a comparable order.
+fn held(table: &LockTable, txn: &TxnHandle) -> Vec<(String, ModeIdx)> {
+    let mut held: Vec<(String, ModeIdx)> = table
+        .granted_to(txn.id())
+        .iter()
+        .map(|(name, mode)| (format!("{name:?}"), *mode))
+        .collect();
+    held.sort();
+    held
+}
 
 struct XorShift(u64);
 
@@ -89,6 +117,32 @@ fn run_case(seed: u64) {
             } else {
                 LockClass::Long
             };
+
+            // One op in three asks for the path above one of a few
+            // siblings and cousins, in one of two mode pairs: repeats of
+            // the previous path are common, and the memo answers them on
+            // the cache-on side only. What the tables hold must not tell.
+            if rng.below(3) == 0 {
+                let target = ["1.3.5.7", "1.3.5.9", "1.3.7.3", "1.9.3"][rng.below(4) as usize];
+                let target = SplId::parse(target).unwrap();
+                let parent_mode = mode.min(1);
+                for (table, txn) in [(&on, &ta), (&off, &tb)] {
+                    let cx = LockCtx {
+                        txn,
+                        table,
+                        doc: &NoDoc,
+                        isolation: IsolationLevel::Repeatable,
+                        lock_depth: 7,
+                    };
+                    cx.lock_path(0, &target, 0, parent_mode, class).unwrap();
+                }
+                assert_eq!(held(&on, &ta), held(&off, &tb), "paths lock differently");
+                if rng.below(4) == 0 {
+                    on.release_end_of_operation(ta.id());
+                    off.release_end_of_operation(tb.id());
+                }
+                continue;
+            }
 
             let ra = on.lock_with(&ta, name, mode, class, false).unwrap();
             let rb = off.lock_with(&tb, name, mode, class, false).unwrap();
@@ -176,8 +230,14 @@ fn run_case(seed: u64) {
         off.requests(),
         "request accounting must not depend on the cache"
     );
+    assert_eq!(on.requests_by_mode(), off.requests_by_mode());
     assert!(on.cache_hits() > 0, "the sequence must exercise the cache");
+    assert!(
+        on.memo_hits() > 0,
+        "the sequence must exercise the path memo"
+    );
     assert_eq!(off.cache_hits(), 0, "disabled cache must never hit");
+    assert_eq!(off.memo_hits(), 0);
     assert_eq!(
         on.cache_hits() + on.table_requests(),
         on.requests(),

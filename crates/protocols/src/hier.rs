@@ -9,9 +9,7 @@
 
 use crate::edges;
 
-use xtc_lock::{
-    clamp_to_depth, EdgeKind, LockClass, LockCtx, LockError, MetaOp, ModeIdx, Protocol,
-};
+use xtc_lock::{clamp_to_depth, EdgeKind, LockCtx, LockError, MetaOp, ModeIdx, Protocol};
 use xtc_splid::SplId;
 
 /// Family index of node locks.
@@ -64,26 +62,6 @@ impl Hierarchical {
         Hierarchical { name, modes, er, ex }
     }
 
-    /// Locks the ancestor path of `target` root-first: `path_mode` on all
-    /// ancestors except the parent, which gets `parent_mode`.
-    fn lock_path(
-        &self,
-        cx: &LockCtx<'_>,
-        target: &SplId,
-        path_mode: ModeIdx,
-        parent_mode: ModeIdx,
-        class: LockClass,
-    ) -> Result<(), LockError> {
-        let mut path: Vec<SplId> = target.ancestors().collect();
-        path.reverse(); // root first
-        let n = path.len();
-        for (i, anc) in path.iter().enumerate() {
-            let mode = if i + 1 == n { parent_mode } else { path_mode };
-            cx.lock_node(NODE_FAMILY, anc, mode, class)?;
-        }
-        Ok(())
-    }
-
     /// Read-type lock on a node with path protection and depth clamping.
     fn read_node(&self, cx: &LockCtx<'_>, node: &SplId) -> Result<(), LockError> {
         let Some(class) = cx.read_class() else {
@@ -91,7 +69,7 @@ impl Hierarchical {
         };
         let (target, subtree) = clamp_to_depth(node, cx.lock_depth);
         let m = &self.modes;
-        self.lock_path(cx, &target, m.intent_read, m.intent_read, class)?;
+        cx.lock_path(NODE_FAMILY, &target, m.intent_read, m.intent_read, class)?;
         let mode = if subtree { m.tree_read } else { m.node_read };
         cx.lock_node(NODE_FAMILY, &target, mode, class)
     }
@@ -109,7 +87,7 @@ impl Hierarchical {
         };
         let (target, subtree) = clamp_to_depth(node, cx.lock_depth);
         let m = &self.modes;
-        self.lock_path(cx, &target, m.intent_write, m.child_excl, class)?;
+        cx.lock_path(NODE_FAMILY, &target, m.intent_write, m.child_excl, class)?;
         let mode = if subtree { m.tree_write } else { mode };
         cx.lock_node(NODE_FAMILY, &target, mode, class)
     }
@@ -182,7 +160,7 @@ impl Protocol for Hierarchical {
                     return Ok(());
                 };
                 let (target, subtree) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, m.intent_read, m.intent_read, class)?;
+                cx.lock_path(NODE_FAMILY, &target, m.intent_read, m.intent_read, class)?;
                 if subtree {
                     return cx.lock_node(NODE_FAMILY, &target, m.tree_read, class);
                 }
@@ -207,7 +185,7 @@ impl Protocol for Hierarchical {
                     return Ok(());
                 };
                 let (target, _) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, m.intent_read, m.intent_read, class)?;
+                cx.lock_path(NODE_FAMILY, &target, m.intent_read, m.intent_read, class)?;
                 cx.lock_node(NODE_FAMILY, &target, m.tree_read, class)
             }
             MetaOp::UpdateTree(n) => {
@@ -215,7 +193,7 @@ impl Protocol for Hierarchical {
                     return Ok(());
                 };
                 let (target, _) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, m.intent_write, m.intent_write, class)?;
+                cx.lock_path(NODE_FAMILY, &target, m.intent_write, m.intent_write, class)?;
                 let mode = m.tree_update.unwrap_or(m.tree_write);
                 cx.lock_node(NODE_FAMILY, &target, mode, class)
             }

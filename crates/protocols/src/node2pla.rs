@@ -13,9 +13,7 @@
 use crate::{ProtocolGroup, ProtocolHandle};
 use std::sync::Arc;
 use xtc_lock::algebra::{AlgebraMode, CovNonNone::*, Region, SelfAcc as S};
-use xtc_lock::{
-    clamp_to_depth, LockClass, LockCtx, LockError, MetaOp, ModeIdx, ModeTable, Protocol,
-};
+use xtc_lock::{clamp_to_depth, LockCtx, LockError, MetaOp, ModeIdx, ModeTable, Protocol};
 use xtc_splid::SplId;
 
 const NODE_FAMILY: u8 = 0;
@@ -64,22 +62,6 @@ pub fn node2pla() -> ProtocolHandle {
 }
 
 impl Node2PLa {
-    /// Intention locks root-first on all proper ancestors of `target`.
-    fn lock_path(
-        &self,
-        cx: &LockCtx<'_>,
-        target: &SplId,
-        mode: ModeIdx,
-        class: LockClass,
-    ) -> Result<(), LockError> {
-        let mut path: Vec<SplId> = target.ancestors().collect();
-        path.reverse();
-        for anc in &path {
-            cx.lock_node(NODE_FAMILY, anc, mode, class)?;
-        }
-        Ok(())
-    }
-
     /// Read access to node `n`: T on its parent (the protocol's focus),
     /// IR on the path above; depth-clamped to SR.
     fn read(&self, cx: &LockCtx<'_>, n: &SplId) -> Result<(), LockError> {
@@ -88,7 +70,7 @@ impl Node2PLa {
         };
         let focus = n.parent().unwrap_or_else(|| n.clone());
         let (target, subtree) = clamp_to_depth(&focus, cx.lock_depth);
-        self.lock_path(cx, &target, self.ir, class)?;
+        cx.lock_path(NODE_FAMILY, &target, self.ir, self.ir, class)?;
         let mode = if subtree { self.sr } else { self.t };
         cx.lock_node(NODE_FAMILY, &target, mode, class)
     }
@@ -101,7 +83,7 @@ impl Node2PLa {
         };
         let focus = n.parent().unwrap_or_else(|| n.clone());
         let (target, subtree) = clamp_to_depth(&focus, cx.lock_depth);
-        self.lock_path(cx, &target, self.ix, class)?;
+        cx.lock_path(NODE_FAMILY, &target, self.ix, self.ix, class)?;
         let mode = if subtree { self.sx } else { self.m };
         cx.lock_node(NODE_FAMILY, &target, mode, class)
     }
@@ -129,7 +111,7 @@ impl Protocol for Node2PLa {
                     return Ok(());
                 };
                 let (target, subtree) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, self.ir, class)?;
+                cx.lock_path(NODE_FAMILY, &target, self.ir, self.ir, class)?;
                 let mode = if subtree { self.sr } else { self.t };
                 cx.lock_node(NODE_FAMILY, &target, mode, class)
             }
@@ -138,7 +120,7 @@ impl Protocol for Node2PLa {
                     return Ok(());
                 };
                 let (target, _) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, self.ir, class)?;
+                cx.lock_path(NODE_FAMILY, &target, self.ir, self.ir, class)?;
                 cx.lock_node(NODE_FAMILY, &target, self.sr, class)
             }
             MetaOp::UpdateTree(n) => {
@@ -146,7 +128,7 @@ impl Protocol for Node2PLa {
                     return Ok(());
                 };
                 let (target, _) = clamp_to_depth(n, cx.lock_depth);
-                self.lock_path(cx, &target, self.ix, class)?;
+                cx.lock_path(NODE_FAMILY, &target, self.ix, self.ix, class)?;
                 cx.lock_node(NODE_FAMILY, &target, self.su, class)
             }
             MetaOp::WriteContent(n) | MetaOp::Rename(n) => self.write(cx, n),

@@ -56,13 +56,20 @@ struct Rig {
 
 impl Rig {
     fn new(proto: &str) -> Rig {
+        Rig::with_lock_cache(proto, true)
+    }
+
+    fn with_lock_cache(proto: &str, cache: bool) -> Rig {
         let handle = xtc_protocols::build(proto).unwrap();
         let registry = Arc::new(TxnRegistry::new());
-        let table = Arc::new(LockTable::new(
-            handle.families.clone(),
-            registry.clone(),
-            Duration::from_secs(2),
-        ));
+        let table = Arc::new(
+            LockTable::new(
+                handle.families.clone(),
+                registry.clone(),
+                Duration::from_secs(2),
+            )
+            .with_lock_cache(cache),
+        );
         Rig {
             handle,
             table,
@@ -303,5 +310,73 @@ fn isolation_none_never_touches_the_table() {
             rig.handle.protocol.acquire(&cx, &op).unwrap();
         }
         assert_eq!(rig.table.granted_count(), 0, "{proto}");
+    }
+}
+
+/// A rename leaves NX on the book, which — unlike the NR or IR it
+/// replaces — does not absorb the IR a child's path asks for: the one
+/// conversion after which an answer from the path memo would differ from
+/// the table's. Whatever the order of rename and reads, and wherever the
+/// lock depth clamps them, the table ends up holding what it holds with
+/// the cache (and with it the memo) off, after the same requests. (Every
+/// mapping today asks for the book's own path before it converts the
+/// book, which re-keys the memo; `TxnHandle` does not rely on that — see
+/// its unit tests — and this pins the outcome either way.)
+#[test]
+fn reads_under_a_renamed_parent_lock_what_they_lock_without_the_memo() {
+    let book = p("1.3.3");
+    let (title, history) = (p("1.3.3.3"), p("1.3.3.5"));
+    let scripts: [&[MetaOp<'_>]; 2] = [
+        &[
+            MetaOp::Rename(&book),
+            MetaOp::ReadNode(&title),
+            MetaOp::ReadNode(&history),
+        ],
+        &[
+            MetaOp::ReadNode(&title),
+            MetaOp::ReadNode(&book),
+            MetaOp::Rename(&book),
+            MetaOp::ReadNode(&history),
+            MetaOp::ReadNode(&title),
+        ],
+    ];
+    for proto in xtc_protocols::ALL_PROTOCOLS {
+        for depth in 0..=7 {
+            for script in scripts {
+                let (on, off) = (Rig::new(proto), Rig::with_lock_cache(proto, false));
+                let (t_on, t_off) = (on.registry.begin(), off.registry.begin());
+                for op in script {
+                    on.acquire(t_on, op, depth);
+                    off.acquire(t_off, op, depth);
+                }
+                let what = format!("{proto} depth {depth}");
+                for family in 0..on.handle.families.len() as u8 {
+                    for node in ["1", "1.3", "1.3.3", "1.3.3.3", "1.3.3.5"] {
+                        assert_eq!(
+                            on.node_mode(t_on, family, node),
+                            off.node_mode(t_off, family, node),
+                            "{what}: family {family}, {node}"
+                        );
+                    }
+                }
+                assert_eq!(
+                    on.table.granted_count(),
+                    off.table.granted_count(),
+                    "{what}"
+                );
+                assert_eq!(
+                    on.table.requests_by_mode(),
+                    off.table.requests_by_mode(),
+                    "{what}"
+                );
+                assert_eq!(off.table.memo_hits(), 0);
+                if matches!(proto, "taDOM3" | "taDOM3+") && depth >= 3 {
+                    assert!(
+                        on.table.memo_hits() > 0,
+                        "{what}: second child not memoised"
+                    );
+                }
+            }
+        }
     }
 }

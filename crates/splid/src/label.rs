@@ -62,16 +62,32 @@ pub enum Relationship {
 /// * the final division is odd.
 ///
 /// `Ord` is document order: ancestors sort before their descendants, and
-/// siblings sort left to right.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// siblings sort left to right. `Eq`, `Ord` and `Hash` are those of the
+/// division slice.
+///
+/// Up to [`INLINE`] divisions live in the value itself — deriving a
+/// parent, an ancestor or a lock name from a label copies 64 bytes and
+/// never allocates; only longer labels spill to the heap.
+#[derive(Clone)]
 pub struct SplId {
-    divs: Vec<u32>,
+    divs: Divs,
+}
+
+/// Divisions held inline: with the length byte and the heap variant's
+/// tag this is the largest count that keeps an `SplId` in 64 bytes. A
+/// freshly generated bib document's longest label has 11.
+const INLINE: usize = 14;
+
+#[derive(Clone)]
+enum Divs {
+    Inline { len: u8, buf: [u32; INLINE] },
+    Heap(Box<[u32]>),
 }
 
 impl SplId {
     /// The root label `1`.
     pub fn root() -> Self {
-        SplId { divs: vec![1] }
+        SplId::from_slice_unchecked(&[1])
     }
 
     /// Builds a label from raw divisions, validating the invariants.
@@ -87,24 +103,36 @@ impl SplId {
         if last.is_multiple_of(2) {
             return Err(SplIdError::TrailingEven(last));
         }
-        Ok(SplId {
-            divs: divs.to_vec(),
-        })
+        Ok(SplId::from_slice_unchecked(divs))
     }
 
     /// Internal constructor for callers that maintain the invariants
-    /// themselves (the allocator and the codec).
-    pub(crate) fn from_vec_unchecked(divs: Vec<u32>) -> Self {
+    /// themselves (prefixes of a valid label, the allocator).
+    fn from_slice_unchecked(divs: &[u32]) -> Self {
         debug_assert!(!divs.is_empty());
         debug_assert_eq!(divs[0], 1);
         debug_assert!(divs.iter().all(|&d| d != 0));
         debug_assert_eq!(divs.last().unwrap() % 2, 1);
+        let divs = if divs.len() <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..divs.len()].copy_from_slice(divs);
+            Divs::Inline {
+                len: divs.len() as u8,
+                buf,
+            }
+        } else {
+            Divs::Heap(divs.into())
+        };
         SplId { divs }
     }
 
     /// The raw division sequence.
+    #[inline]
     pub fn divisions(&self) -> &[u32] {
-        &self.divs
+        match &self.divs {
+            Divs::Inline { len, buf } => &buf[..*len as usize],
+            Divs::Heap(divs) => divs,
+        }
     }
 
     /// Parses the dotted decimal notation used throughout the paper,
@@ -120,12 +148,12 @@ impl SplId {
     /// Node level: the number of odd divisions minus one. The root `1` is
     /// level 0; `1.3.4.3` is level 2 (odd divisions `1`, `3`, `3`).
     pub fn level(&self) -> usize {
-        self.divs.iter().filter(|&&d| d % 2 == 1).count() - 1
+        self.divisions().iter().filter(|&&d| d % 2 == 1).count() - 1
     }
 
     /// `true` if this is the document root label.
     pub fn is_root(&self) -> bool {
-        self.divs.len() == 1
+        self.len() == 1
     }
 
     /// The parent label: strip the final (odd) division and any even
@@ -133,24 +161,17 @@ impl SplId {
     /// parent. Computed purely from the label — the property the lock
     /// manager depends on.
     pub fn parent(&self) -> Option<SplId> {
-        if self.is_root() {
-            return None;
-        }
-        let mut end = self.divs.len() - 1; // drop the trailing odd division
-        while end > 1 && self.divs[end - 1].is_multiple_of(2) {
-            end -= 1; // drop even connectors
-        }
-        Some(SplId {
-            divs: self.divs[..end].to_vec(),
-        })
+        self.ancestors().next()
     }
 
     /// Iterator over proper ancestors, nearest (parent) first, ending at
-    /// the root.
+    /// the root; `.rev()` walks them root first.
     pub fn ancestors(&self) -> Ancestors<'_> {
+        let divs = self.divisions();
         Ancestors {
-            divs: &self.divs,
-            end: if self.is_root() { 0 } else { self.divs.len() },
+            divs,
+            start: 0,
+            end: divs.len(),
         }
     }
 
@@ -158,32 +179,22 @@ impl SplId {
     /// `level >= self.level()` does not name a *proper* ancestor, except
     /// that the node's own level returns the node itself.
     pub fn ancestor_at_level(&self, level: usize) -> Option<SplId> {
-        let own = self.level();
-        if level > own {
-            return None;
-        }
-        if level == own {
-            return Some(self.clone());
-        }
-        // Keep divisions until `level + 1` odd divisions have been kept.
-        let mut odd_seen = 0usize;
-        for (i, &d) in self.divs.iter().enumerate() {
-            if d % 2 == 1 {
-                odd_seen += 1;
-                if odd_seen == level + 1 {
-                    return Some(SplId {
-                        divs: self.divs[..=i].to_vec(),
-                    });
-                }
-            }
-        }
-        None
+        // Keep divisions up to the `level + 1`-th odd one: the label's own
+        // last division on its own level, none beyond it.
+        let divs = self.divisions();
+        let (last, _) = divs
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| *d % 2 == 1)
+            .nth(level)?;
+        Some(SplId::from_slice_unchecked(&divs[..=last]))
     }
 
     /// `true` if `self` is a proper ancestor of `other` (division-wise
     /// prefix; never true for equal labels).
     pub fn is_ancestor_of(&self, other: &SplId) -> bool {
-        self.divs.len() < other.divs.len() && other.divs[..self.divs.len()] == self.divs[..]
+        let (a, b) = (self.divisions(), other.divisions());
+        a.len() < b.len() && b[..a.len()] == *a
     }
 
     /// `true` if `self` is the parent of `other`.
@@ -199,22 +210,28 @@ impl SplId {
     /// `true` if the label lies inside an attribute-root or string-node
     /// region (contains the reserved division `1` beyond the root).
     pub fn is_attribute_related(&self) -> bool {
-        self.divs[1..].contains(&ATTRIBUTE_DIVISION)
+        self.divisions()[1..].contains(&ATTRIBUTE_DIVISION)
     }
 
     /// Child label for a node's attribute root / string child (appends the
     /// reserved division `1`).
     pub fn reserved_child(&self) -> SplId {
-        let mut divs = self.divs.clone();
-        divs.push(ATTRIBUTE_DIVISION);
-        SplId { divs }
+        self.child_with_tail(&[ATTRIBUTE_DIVISION])
     }
 
-    /// Appends a (validated odd, non-zero) division; used by the allocator.
+    /// Appends a tail of shape `even* odd` (validated by the caller); used
+    /// by the allocator.
     pub(crate) fn child_with_tail(&self, tail: &[u32]) -> SplId {
-        let mut divs = self.divs.clone();
-        divs.extend_from_slice(tail);
-        SplId::from_vec_unchecked(divs)
+        let own = self.divisions();
+        let len = own.len() + tail.len();
+        if len <= INLINE {
+            let mut buf = [0; INLINE];
+            buf[..own.len()].copy_from_slice(own);
+            buf[own.len()..len].copy_from_slice(tail);
+            SplId::from_slice_unchecked(&buf[..len])
+        } else {
+            SplId::from_slice_unchecked(&[own, tail].concat())
+        }
     }
 
     /// Classifies `self` relative to `other`.
@@ -238,30 +255,23 @@ impl SplId {
     /// The deepest common ancestor of two labels (always exists — at worst
     /// the root).
     pub fn common_ancestor(&self, other: &SplId) -> SplId {
-        let mut common = 0;
-        for (a, b) in self.divs.iter().zip(other.divs.iter()) {
-            if a == b {
-                common += 1;
-            } else {
-                break;
-            }
-        }
+        let (a, b) = (self.divisions(), other.divisions());
+        let mut common = a.iter().zip(b).take_while(|(x, y)| x == y).count();
         // A full-prefix match means one label IS an ancestor of (or equal
         // to) the other; otherwise strip trailing even connectors so the
         // prefix names an actual node.
-        if common < self.divs.len() && common < other.divs.len() {
-            while common > 1 && self.divs[common - 1].is_multiple_of(2) {
+        if common < a.len() && common < b.len() {
+            while common > 1 && a[common - 1].is_multiple_of(2) {
                 common -= 1;
             }
         }
-        SplId {
-            divs: self.divs[..common].to_vec(),
-        }
+        SplId::from_slice_unchecked(&a[..common])
     }
 
     /// Number of divisions (encoded length is roughly proportional).
+    #[inline]
     pub fn len(&self) -> usize {
-        self.divs.len()
+        self.divisions().len()
     }
 
     /// Labels are never empty; provided for clippy symmetry with `len`.
@@ -270,9 +280,39 @@ impl SplId {
     }
 }
 
+impl PartialEq for SplId {
+    #[inline]
+    fn eq(&self, other: &SplId) -> bool {
+        self.divisions() == other.divisions()
+    }
+}
+
+impl Eq for SplId {}
+
+impl PartialOrd for SplId {
+    #[inline]
+    fn partial_cmp(&self, other: &SplId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for SplId {
+    #[inline]
+    fn cmp(&self, other: &SplId) -> std::cmp::Ordering {
+        self.divisions().cmp(other.divisions())
+    }
+}
+
+impl std::hash::Hash for SplId {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.divisions().hash(state);
+    }
+}
+
 impl fmt::Display for SplId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, d) in self.divs.iter().enumerate() {
+        for (i, d) in self.divisions().iter().enumerate() {
             if i > 0 {
                 write!(f, ".")?;
             }
@@ -290,11 +330,15 @@ impl fmt::Debug for SplId {
     }
 }
 
-/// Iterator over proper ancestors, nearest first. See [`SplId::ancestors`].
+/// Iterator over proper ancestors, nearest first from the front and root
+/// first from the back. See [`SplId::ancestors`].
 pub struct Ancestors<'a> {
     divs: &'a [u32],
-    /// Length of the *current* label; 0 terminates. The next item is the
-    /// parent of `divs[..end]`.
+    /// Length of the last label yielded from the back (0 before the
+    /// root); the ancestors still to come are longer.
+    start: usize,
+    /// Length of the last label yielded from the front (the label's own
+    /// before the parent); the ancestors still to come are shorter.
     end: usize,
 }
 
@@ -302,17 +346,29 @@ impl Iterator for Ancestors<'_> {
     type Item = SplId;
 
     fn next(&mut self) -> Option<SplId> {
-        if self.end <= 1 {
-            return None;
-        }
-        let mut end = self.end - 1;
+        // Drop the trailing odd division, then any even connectors.
+        let mut end = self.end.saturating_sub(1);
         while end > 1 && self.divs[end - 1].is_multiple_of(2) {
             end -= 1;
         }
+        if end <= self.start {
+            return None;
+        }
         self.end = end;
-        Some(SplId {
-            divs: self.divs[..end].to_vec(),
-        })
+        Some(SplId::from_slice_unchecked(&self.divs[..end]))
+    }
+}
+
+impl DoubleEndedIterator for Ancestors<'_> {
+    fn next_back(&mut self) -> Option<SplId> {
+        // Take even connectors up to and including the next odd division.
+        let odd = self.divs[self.start..].iter().position(|d| d % 2 == 1)?;
+        let start = self.start + odd + 1;
+        if start >= self.end {
+            return None;
+        }
+        self.start = start;
+        Some(SplId::from_slice_unchecked(&self.divs[..start]))
     }
 }
 

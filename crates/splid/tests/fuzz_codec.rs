@@ -1,6 +1,8 @@
 //! Deterministic fuzz of the SPLID codec: round trips over random valid
 //! division sequences, order preservation, and graceful `DecodeError`s on
-//! corrupted bytes. Runs with fixed seeds so local builds get the coverage
+//! corrupted bytes, and the label operations against a reference on plain
+//! division slices on both sides of the inline-storage limit. Runs with
+//! fixed seeds so local builds get the coverage
 //! even where proptest is unavailable (`prop_splid.rs` covers the
 //! generative variants in CI).
 
@@ -174,4 +176,118 @@ fn structurally_invalid_sequences_report_invalid() {
     ));
     // Empty input: no divisions at all.
     assert!(matches!(decode(&[]), Err(DecodeError::Invalid(_))));
+}
+
+/// Reference on plain division slices: the parent prefix of a label.
+fn parent_ref(d: &[u32]) -> Option<&[u32]> {
+    if d.len() == 1 {
+        return None;
+    }
+    let mut end = d.len() - 1;
+    while end > 1 && d[end - 1].is_multiple_of(2) {
+        end -= 1;
+    }
+    Some(&d[..end])
+}
+
+fn hash_of<T: std::hash::Hash + ?Sized>(v: &T) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// Labels keep up to 14 divisions in the value and spill to the heap past
+/// that: every operation must agree with the slice reference on both
+/// sides of the boundary, and comparisons across it.
+#[test]
+fn labels_agree_with_slice_reference_across_the_spill_boundary() {
+    assert!(std::mem::size_of::<SplId>() <= 64);
+    let mut rng = Rng(0x5EED_0005);
+    // Small divisions: even connectors are as common as level steps.
+    let long_label = |len: usize, rng: &mut Rng| -> Vec<u32> {
+        let mut divs = vec![1u32];
+        for _ in 1..len {
+            divs.push(1 + rng.below(9) as u32);
+        }
+        *divs.last_mut().unwrap() |= 1;
+        divs
+    };
+    for len in 1..=40usize {
+        for _ in 0..40 {
+            let a = long_label(len, &mut rng);
+            // A second label sharing a random prefix with the first, of a
+            // length on either side of the boundary.
+            let mut b = long_label(1 + rng.below(40) as usize, &mut rng);
+            let shared = rng.below(a.len().min(b.len()) as u64 + 1) as usize;
+            b[..shared].copy_from_slice(&a[..shared]);
+            *b.last_mut().unwrap() |= 1;
+            let (la, lb) = (
+                SplId::from_divisions(&a).unwrap(),
+                SplId::from_divisions(&b).unwrap(),
+            );
+            assert_eq!(la.divisions(), &a[..]);
+            assert_eq!(la.len(), a.len());
+            assert_eq!(la == lb, a == b);
+            assert_eq!(la.cmp(&lb), a.cmp(&b));
+            assert_eq!(hash_of(&la), hash_of(&a[..]));
+            assert_eq!(la.clone(), la);
+            assert_eq!(decode(&encode(&la)).unwrap(), la);
+
+            // parent / ancestors, both directions.
+            let mut want: Vec<&[u32]> = Vec::new();
+            let mut cur = &a[..];
+            while let Some(p) = parent_ref(cur) {
+                want.push(p);
+                cur = p;
+            }
+            assert_eq!(
+                la.parent().as_ref().map(|p| p.divisions()),
+                want.first().copied()
+            );
+            let got: Vec<SplId> = la.ancestors().collect();
+            assert_eq!(got.iter().map(|x| x.divisions()).collect::<Vec<_>>(), want);
+            let mut back: Vec<SplId> = la.ancestors().rev().collect();
+            back.reverse();
+            assert_eq!(back, got);
+            // Meeting in the middle yields every ancestor exactly once.
+            let mut it = la.ancestors();
+            let mut met = Vec::new();
+            while let Some(front) = it.next() {
+                met.push(front);
+                met.extend(it.next_back());
+            }
+            met.sort();
+            back.sort();
+            assert_eq!(met, back);
+
+            // ancestor_at_level: the own level is the label, levels above
+            // it index the root-first path, levels below do not exist.
+            let level = la.level();
+            assert_eq!(level, want.len());
+            assert_eq!(la.ancestor_at_level(level).as_ref(), Some(&la));
+            assert_eq!(la.ancestor_at_level(level + 1), None);
+            for (lvl, anc) in want.iter().rev().enumerate() {
+                assert_eq!(la.ancestor_at_level(lvl).unwrap().divisions(), *anc);
+            }
+
+            // common_ancestor: longest common prefix, cut back to a node
+            // unless one label is a prefix of the other.
+            let mut common = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+            if common < a.len() && common < b.len() {
+                while common > 1 && a[common - 1].is_multiple_of(2) {
+                    common -= 1;
+                }
+            }
+            assert_eq!(la.common_ancestor(&lb).divisions(), &a[..common]);
+            assert_eq!(
+                la.is_ancestor_of(&lb),
+                a.len() < b.len() && b.starts_with(&a)
+            );
+
+            let child = la.reserved_child();
+            assert_eq!(child.divisions(), [&a[..], &[1]].concat());
+            assert_eq!(child.parent().unwrap(), la);
+        }
+    }
 }

@@ -265,6 +265,7 @@ pub fn run_cluster1_on(db: &Arc<XtcDb>, params: &TamixParams, bib_cfg: &BibConfi
         lock_requests: db.lock_table().requests(),
         table_requests: db.lock_table().table_requests(),
         cache_hits: db.lock_table().cache_hits(),
+        memo_hits: db.lock_table().memo_hits(),
         page_reads: db.store().stats().page_reads() - reads_before,
         pool: crate::metrics::PoolReport::delta(&pool_before, &db.store().pool_stats()),
         escalations: db.lock_table().escalations(),

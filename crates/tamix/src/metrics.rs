@@ -253,6 +253,9 @@ pub struct RunReport {
     pub table_requests: u64,
     /// Requests served from the per-transaction lock cache.
     pub cache_hits: u64,
+    /// Cache hits the path memo answered without probing (the repeated
+    /// ancestor paths of sibling-to-sibling navigation).
+    pub memo_hits: u64,
     /// Logical page reads during the run.
     pub page_reads: u64,
     /// Buffer-pool and index-filter activity (hits, misses, evictions,
@@ -312,6 +315,16 @@ impl RunReport {
             return 0.0;
         }
         self.cache_hits as f64 / self.lock_requests as f64
+    }
+
+    /// Fraction of lock requests the path memo answered: how much of the
+    /// run re-asked an ancestor path it had just locked — a function of
+    /// the lock depth, which decides how many nodes share a path.
+    pub fn memo_share(&self) -> f64 {
+        if self.lock_requests == 0 {
+            return 0.0;
+        }
+        self.memo_hits as f64 / self.lock_requests as f64
     }
 }
 

@@ -1,8 +1,12 @@
-//! Cache-on vs. cache-off equivalence: the per-transaction lock cache is
-//! a pure fast path — for a deterministic (sequential, seeded) TaMix
+//! Cache-on vs. cache-off equivalence: the per-transaction lock cache —
+//! and the path memo that answers whole ancestor paths from it — is a
+//! pure fast path. For a deterministic (sequential, seeded) TaMix
 //! workload it must produce identical commit/abort outcomes, identical
-//! final documents, and identical `lock_requests` accounting for every
-//! protocol. A failpoints-gated variant re-checks this under injected
+//! final documents, identical `lock_requests` accounting down to the
+//! per-mode histogram, and leave the lock table holding the same names in
+//! the same modes before every commit, for every protocol, at both
+//! locking isolation levels and across the lock-depth sweep. A
+//! failpoints-gated variant re-checks this under injected
 //! lock-acquire faults (the failpoint site fires on its eval sequence,
 //! which the cache must not perturb).
 
@@ -10,7 +14,7 @@ mod common;
 
 use common::{base_config, run_seeded_mix, MixResult, TXNS};
 use std::sync::Mutex;
-use xtc_core::XtcConfig;
+use xtc_core::{IsolationLevel, XtcConfig};
 
 /// Tests in this file must not interleave when the failpoints feature is
 /// on: the failpoint registry is process-global.
@@ -41,6 +45,14 @@ fn assert_equivalent(protocol: &str, on: &MixResult, off: &MixResult) {
         "{protocol}: lock_requests accounting must not depend on the cache"
     );
     assert_eq!(
+        on.held, off.held,
+        "{protocol}: the table holds other names or modes before a commit"
+    );
+    assert_eq!(
+        off.memo_hits, 0,
+        "{protocol}: the memo is off with the cache"
+    );
+    assert_eq!(
         off.cache_hits, 0,
         "{protocol}: disabled cache must never report hits"
     );
@@ -59,25 +71,49 @@ fn assert_accounting(protocol: &str, on: &MixResult, off: &MixResult) {
         on.lock_requests,
         "{protocol}: every request is either a hit or table traffic"
     );
+    assert!(
+        on.memo_hits <= on.cache_hits,
+        "{protocol}: memo answers are cache hits"
+    );
+    assert_eq!(
+        on.requests_by_mode, off.requests_by_mode,
+        "{protocol}: the per-mode histogram must not depend on the cache"
+    );
 }
 
 #[test]
 fn cache_equivalence_all_protocols() {
     let _g = GUARD.lock().unwrap();
-    let mut total_hits = 0u64;
+    let (mut total_hits, mut memo_hits) = (0u64, 0u64);
     // The extended field includes the versioned contestants: their
     // snapshot reads bypass the lock table entirely, but their write
     // side maps through taDOM3+ and must stay cache-coherent too.
     for proto in xtc_protocols::EXTENDED_PROTOCOLS {
-        let on = run_workload(proto, true, 0xC0FF_EE00);
-        let off = run_workload(proto, false, 0xC0FF_EE00);
-        assert_equivalent(proto, &on, &off);
-        assert_accounting(proto, &on, &off);
-        total_hits += on.cache_hits;
+        // *Committed* releases its read locks after every operation, and
+        // the memo with them; the depth decides how long a path is and
+        // how many siblings share it.
+        for isolation in [IsolationLevel::Committed, IsolationLevel::Repeatable] {
+            for lock_depth in [0, 2, 4, 7] {
+                let arm = |cache| {
+                    let config = XtcConfig {
+                        isolation,
+                        lock_depth,
+                        ..config(proto, cache)
+                    };
+                    run_seeded_mix(config, 0xC0FF_EE00, TXNS)
+                };
+                let (on, off) = (arm(true), arm(false));
+                let what = format!("{proto} {} depth {lock_depth}", isolation.name());
+                assert_equivalent(&what, &on, &off);
+                assert_accounting(&what, &on, &off);
+                total_hits += on.cache_hits;
+                memo_hits += on.memo_hits;
+            }
+        }
     }
     assert!(
-        total_hits > 0,
-        "the workload must actually exercise the cache somewhere"
+        total_hits > 0 && memo_hits > 0,
+        "the workload must actually exercise the cache and the memo somewhere"
     );
 }
 
