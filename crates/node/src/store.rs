@@ -377,8 +377,8 @@ impl DocStore {
 
     /// Fetches and decodes a node.
     pub fn get(&self, id: &SplId) -> Option<NodeData> {
-        let bytes = self.doc.get(&encode(id))?;
-        Some(NodeData::decode(&bytes).expect("corrupt node record"))
+        self.doc
+            .get_with(&encode(id), |record| NodeData::decode(record).expect("corrupt node record"))
     }
 
     /// `true` if the node exists.

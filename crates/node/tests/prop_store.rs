@@ -1,7 +1,11 @@
 //! Property test: the B\*-tree-backed node manager behaves like a plain
 //! in-memory DOM model under arbitrary operation sequences.
+//!
+//! Driven by a hand-rolled deterministic generator rather than
+//! `proptest!`, so the cases run — and reproduce by case number — in
+//! every build, the offline one included (its proptest stand-in expands
+//! `proptest!` to nothing).
 
-use proptest::prelude::*;
 use std::collections::BTreeMap;
 use xtc_node::{DocStore, DocStoreConfig, InsertPos, NodeData};
 use xtc_splid::SplId;
@@ -31,23 +35,51 @@ enum Op {
 
 const NAMES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
 
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![
-            3 => (0u8..32, 0u8..5).prop_map(|(t, n)| Op::InsertElement(t, n)),
-            2 => (0u8..32, "[a-z]{0,6}").prop_map(|(t, s)| Op::InsertTextNode(t, s)),
-            2 => (0u8..32, 0u8..5, "[a-z]{1,5}").prop_map(|(t, n, v)| Op::SetAttribute(t, n, v)),
-            1 => (0u8..32, 0u8..5).prop_map(|(t, n)| Op::Rename(t, n)),
-            1 => (0u8..32).prop_map(Op::Delete),
-        ],
-        1..60,
-    )
+/// xorshift64*: deterministic op generator.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// `[a-z]{min,max}`.
+    fn word(&mut self, min: u64, max: u64) -> String {
+        let len = min + self.below(max - min + 1);
+        (0..len).map(|_| (b'a' + self.below(26) as u8) as char).collect()
+    }
+
+    /// 1 to 59 operations: inserts of elements, texts and attributes
+    /// three, two and two times as likely as a rename or a delete.
+    fn ops(&mut self) -> Vec<Op> {
+        (0..1 + self.below(59))
+            .map(|_| {
+                let (t, n) = (self.below(32) as u8, self.below(5) as u8);
+                match self.below(9) {
+                    0..=2 => Op::InsertElement(t, n),
+                    3 | 4 => Op::InsertTextNode(t, self.word(0, 6)),
+                    5 | 6 => Op::SetAttribute(t, n, self.word(1, 5)),
+                    7 => Op::Rename(t, n),
+                    _ => Op::Delete(t),
+                }
+            })
+            .collect()
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-    #[test]
-    fn store_matches_model(ops in arb_ops()) {
+#[test]
+fn store_matches_model() {
+    for case in 0..96u64 {
+        let ops = Rng(0x9E37_79B9_7F4A_7C15 ^ case.wrapping_mul(0x0101_0101)).ops();
         let store = DocStore::new(DocStoreConfig { page_size: 1024, ..DocStoreConfig::default() });
         let root = store.create_root("root").unwrap();
         let mut model = Model::default();
@@ -128,24 +160,33 @@ proptest! {
         for e in &live {
             let id = e.to_string();
             let got_name = store.name_of(e);
-            prop_assert_eq!(
+            assert_eq!(
                 got_name.as_deref(),
                 model.names.get(&id).map(|s| s.as_str()),
-                "name of {}", id
+                "case {case}: name of {id}"
             );
             let got_children: Vec<String> = store
                 .element_children(e)
                 .iter()
                 .map(|c| c.to_string())
                 .collect();
-            prop_assert_eq!(&got_children, model.children.get(&id).unwrap(), "children of {}", id);
+            assert_eq!(&got_children, model.children.get(&id).unwrap(), "case {case}: children of {id}");
+            // The same level walked backwards.
+            let mut backwards = Vec::new();
+            let mut cur = store.last_child(e);
+            while let Some(c) = cur {
+                cur = store.prev_sibling(&c);
+                backwards.push(c);
+            }
+            backwards.reverse();
+            assert_eq!(backwards, store.children(e), "case {case}: children of {id}, last to first");
             let got_texts: Vec<String> = store
                 .children(e)
                 .into_iter()
                 .filter(|c| matches!(store.get(c), Some(NodeData::Text)))
                 .map(|c| store.text_of(&c).unwrap())
                 .collect();
-            prop_assert_eq!(&got_texts, model.texts.get(&id).unwrap(), "texts of {}", id);
+            assert_eq!(&got_texts, model.texts.get(&id).unwrap(), "case {case}: texts of {id}");
             let got_attrs: BTreeMap<String, String> = store
                 .attributes(e)
                 .into_iter()
@@ -156,16 +197,13 @@ proptest! {
                     )
                 })
                 .collect();
-            prop_assert_eq!(&got_attrs, model.attrs.get(&id).unwrap(), "attrs of {}", id);
+            assert_eq!(&got_attrs, model.attrs.get(&id).unwrap(), "case {case}: attrs of {id}");
         }
         // Node count sanity: elements + attr roots + attrs + texts + strings.
         let elems = model.names.len();
         let attrs: usize = model.attrs.values().map(|a| a.len()).sum();
         let attr_roots = model.attrs.values().filter(|a| !a.is_empty()).count();
         let texts: usize = model.texts.values().map(|t| t.len()).sum();
-        prop_assert_eq!(
-            store.node_count(),
-            elems + attr_roots + 2 * attrs + 2 * texts
-        );
+        assert_eq!(store.node_count(), elems + attr_roots + 2 * attrs + 2 * texts, "case {case}");
     }
 }

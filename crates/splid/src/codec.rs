@@ -24,6 +24,7 @@
 //! Typical divisions (3–71) therefore cost 4–8 bits, matching the paper's
 //! "2–3 bytes in the average" once prefix compression is applied upstream.
 
+use crate::label::INLINE;
 use crate::SplId;
 
 /// Error decoding an encoded SPLID.
@@ -58,113 +59,65 @@ const R4_BASE: u32 = R3_MAX + 1; // 4168
 const R4_MAX: u32 = R4_BASE + (1 << 20) - 1; // 1_052_743
 const R5_BASE: u32 = R4_MAX + 1; // 1_052_744
 
-struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
-    cur: u8,
-    used: u8,
-}
-
-impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        BitWriter { out, cur: 0, used: 0 }
-    }
-
-    /// Pushes the low `n` bits of `v`, most significant first.
-    fn push(&mut self, v: u64, n: u8) {
-        for i in (0..n).rev() {
-            let bit = ((v >> i) & 1) as u8;
-            self.cur = (self.cur << 1) | bit;
-            self.used += 1;
-            if self.used == 8 {
-                self.out.push(self.cur);
-                self.cur = 0;
-                self.used = 0;
-            }
-        }
-    }
-
-    fn finish(self) {
-        if self.used > 0 {
-            self.out.push(self.cur << (8 - self.used));
-        }
-    }
-}
-
-struct BitReader<'a> {
-    data: &'a [u8],
-    pos: usize, // bit position
-}
-
-impl<'a> BitReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        BitReader { data, pos: 0 }
-    }
-
-    fn read(&mut self, n: u8) -> Option<u64> {
-        let mut v = 0u64;
-        for _ in 0..n {
-            let byte = *self.data.get(self.pos / 8)?;
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u64;
-            self.pos += 1;
-        }
-        Some(v)
-    }
-
-    /// Remaining bits, all of which must be zero padding.
-    fn only_zero_padding_left(&self) -> bool {
-        let mut pos = self.pos;
-        while pos < self.data.len() * 8 {
-            let byte = self.data[pos / 8];
-            if (byte >> (7 - (pos % 8))) & 1 != 0 {
-                return false;
-            }
-            pos += 1;
-        }
-        true
-    }
-
-    /// True when fewer than 4 unread bits remain (nothing but padding fits).
-    fn at_padding(&self) -> bool {
-        self.data.len() * 8 - self.pos < 4 || self.only_zero_padding_left()
-    }
-}
-
-fn push_division(w: &mut BitWriter<'_>, d: u32) {
+/// `d`'s code — range prefix and payload — right-aligned, and its length
+/// in bits (at most 36).
+#[inline]
+fn division_code(d: u32) -> (u64, u32) {
     debug_assert!(d >= 1);
+    let d64 = u64::from(d);
     if d <= R1_MAX {
-        w.push(0, 1);
-        w.push(d as u64, 3);
+        (d64, 4)
     } else if d <= R2_MAX {
-        w.push(0b10, 2);
-        w.push((d - R2_BASE) as u64, 6);
+        (0b10 << 6 | (d64 - u64::from(R2_BASE)), 8)
     } else if d <= R3_MAX {
-        w.push(0b110, 3);
-        w.push((d - R3_BASE) as u64, 12);
+        (0b110 << 12 | (d64 - u64::from(R3_BASE)), 15)
     } else if d <= R4_MAX {
-        w.push(0b1110, 4);
-        w.push((d - R4_BASE) as u64, 20);
+        (0b1110 << 20 | (d64 - u64::from(R4_BASE)), 24)
     } else {
-        w.push(0b1111, 4);
-        w.push((d - R5_BASE) as u64, 32);
+        (0b1111 << 32 | (d64 - u64::from(R5_BASE)), 36)
     }
+}
+
+/// The one encoder: packs the codes of `head` and then `last` most
+/// significant bit first — one shift-and-or per division into a 64-bit
+/// accumulator, whole bytes handed to `out` when the next code would not
+/// fit — and zero-pads the final byte.
+fn pack(head: &[u32], last: u32, out: &mut Vec<u8>) {
+    // The low `used` bits of `acc` are packed and not yet handed on.
+    let (mut acc, mut used) = (0u64, 0u32);
+    for &d in head.iter().chain(std::iter::once(&last)) {
+        let (code, n) = division_code(d);
+        if used + n > 64 {
+            out.extend_from_slice(&(acc << (64 - used)).to_be_bytes()[..used as usize / 8]);
+            used %= 8;
+        }
+        acc = acc << n | code;
+        used += n;
+    }
+    // At least one code of four bits went in: `used` is not zero.
+    out.extend_from_slice(&(acc << (64 - used)).to_be_bytes()[..used.div_ceil(8) as usize]);
+}
+
+/// `pack` of a label's own divisions, the last one raised by `bump`.
+fn pack_label(id: &SplId, bump: u32, out: &mut Vec<u8>) {
+    let (&last, head) = id.divisions().split_last().expect("labels are non-empty");
+    let last = last
+        .checked_add(bump) // odd -> even; still a valid division value for a bound
+        .expect("division u32::MAX is unreachable via LabelAllocator");
+    pack(head, last, out);
 }
 
 /// Encodes a label, appending to `buf`. Returns the number of bytes written.
 pub fn encode_into(id: &SplId, buf: &mut Vec<u8>) -> usize {
     let start = buf.len();
-    let mut w = BitWriter::new(buf);
-    for &d in id.divisions() {
-        push_division(&mut w, d);
-    }
-    w.finish();
+    pack_label(id, 0, buf);
     buf.len() - start
 }
 
 /// Encodes a label into a fresh byte vector.
 pub fn encode(id: &SplId) -> Vec<u8> {
     let mut buf = Vec::with_capacity(id.len() + 2);
-    encode_into(id, &mut buf);
+    pack_label(id, 0, &mut buf);
     buf
 }
 
@@ -173,11 +126,9 @@ pub fn encode(id: &SplId) -> Vec<u8> {
 /// division incremented).
 pub fn encode_divisions(divs: &[u32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(divs.len() + 2);
-    let mut w = BitWriter::new(&mut buf);
-    for &d in divs {
-        push_division(&mut w, d);
+    if let Some((&last, head)) = divs.split_last() {
+        pack(head, last, &mut buf);
     }
-    w.finish();
     buf
 }
 
@@ -202,54 +153,65 @@ pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// This is what makes subtree operations (reads, deletions, the *-2PL
 /// group's IDX scans) single B*-tree range scans.
 pub fn subtree_upper_bound(id: &SplId) -> Vec<u8> {
-    let mut divs = id.divisions().to_vec();
-    let last = divs.last_mut().expect("labels are non-empty");
-    *last = last
-        .checked_add(1) // odd -> even; still a valid division value for a bound
-        .expect("division u32::MAX is unreachable via LabelAllocator");
-    encode_divisions(&divs)
+    let mut buf = Vec::with_capacity(id.len() + 2);
+    pack_label(id, 1, &mut buf);
+    buf
 }
 
 /// Decodes an encoded label produced by [`encode`].
+///
+/// Reads through a left-aligned 64-bit window: the top nibble names the
+/// division's range (and, for range 1, is the division), one shift and
+/// mask takes the payload. Fewer than four bits left are padding whatever
+/// they hold; a `0000` nibble is padding when nothing but zeros follows
+/// and a zero payload otherwise — the only place the rest is looked at.
 pub fn decode(bytes: &[u8]) -> Result<SplId, DecodeError> {
-    let mut r = BitReader::new(bytes);
-    let mut divs = Vec::new();
+    // The top `have` bits of `win` are the input from the read position
+    // on, zeros below them; `next` is the first byte not yet in it.
+    let (mut win, mut have, mut next) = (0u64, 0u32, 0usize);
+    let mut divs = [0u32; INLINE];
+    let mut spill = Vec::new();
+    let mut n = 0;
     loop {
-        if r.at_padding() {
+        while have <= 56 && next < bytes.len() {
+            win |= u64::from(bytes[next]) << (56 - have);
+            have += 8;
+            next += 1;
+        }
+        // 57 bits or all there is: a whole code of 36 unless the input ends.
+        if have < 4 {
             break;
         }
-        let d = read_division(&mut r)?;
-        divs.push(d);
-    }
-    SplId::from_divisions(&divs).map_err(DecodeError::Invalid)
-}
-
-fn read_division(r: &mut BitReader<'_>) -> Result<u32, DecodeError> {
-    let b0 = r.read(1).ok_or(DecodeError::Truncated)?;
-    if b0 == 0 {
-        let v = r.read(3).ok_or(DecodeError::Truncated)? as u32;
-        if v == 0 {
-            return Err(DecodeError::ZeroPayload);
+        let (d, len) = match win >> 60 {
+            0 if win == 0 && bytes[next..].iter().all(|&b| b == 0) => break,
+            0 => return Err(DecodeError::ZeroPayload),
+            d @ 1..=7 => (d as u32, 4),
+            0b1000..=0b1011 => (R2_BASE + (win >> 56 & 0x3F) as u32, 8),
+            0b1100 | 0b1101 => (R3_BASE + (win >> 49 & 0xFFF) as u32, 15),
+            0b1110 => (R4_BASE + (win >> 40 & 0xF_FFFF) as u32, 24),
+            _ => (R5_BASE.wrapping_add((win >> 28) as u32), 36),
+        };
+        if len > have {
+            return Err(DecodeError::Truncated);
         }
-        return Ok(v);
+        win <<= len;
+        have -= len;
+        if n < INLINE {
+            divs[n] = d;
+        } else {
+            if spill.is_empty() {
+                spill.extend_from_slice(&divs);
+            }
+            spill.push(d);
+        }
+        n += 1;
     }
-    let b1 = r.read(1).ok_or(DecodeError::Truncated)?;
-    if b1 == 0 {
-        let v = r.read(6).ok_or(DecodeError::Truncated)? as u32;
-        return Ok(R2_BASE + v);
+    if spill.is_empty() {
+        SplId::from_inline(divs, n)
+    } else {
+        SplId::from_divisions(&spill)
     }
-    let b2 = r.read(1).ok_or(DecodeError::Truncated)?;
-    if b2 == 0 {
-        let v = r.read(12).ok_or(DecodeError::Truncated)? as u32;
-        return Ok(R3_BASE + v);
-    }
-    let b3 = r.read(1).ok_or(DecodeError::Truncated)?;
-    if b3 == 0 {
-        let v = r.read(20).ok_or(DecodeError::Truncated)? as u32;
-        return Ok(R4_BASE + v);
-    }
-    let v = r.read(32).ok_or(DecodeError::Truncated)? as u32;
-    Ok(R5_BASE.wrapping_add(v))
+    .map_err(DecodeError::Invalid)
 }
 
 #[cfg(test)]

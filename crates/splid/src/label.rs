@@ -76,7 +76,7 @@ pub struct SplId {
 /// Divisions held inline: with the length byte and the heap variant's
 /// tag this is the largest count that keeps an `SplId` in 64 bytes. A
 /// freshly generated bib document's longest label has 11.
-const INLINE: usize = 14;
+pub(crate) const INLINE: usize = 14;
 
 #[derive(Clone)]
 enum Divs {
@@ -92,18 +92,16 @@ impl SplId {
 
     /// Builds a label from raw divisions, validating the invariants.
     pub fn from_divisions(divs: &[u32]) -> Result<Self, SplIdError> {
-        let (&first, _) = divs.split_first().ok_or(SplIdError::Empty)?;
-        if first != 1 {
-            return Err(SplIdError::BadRoot(first));
-        }
-        if divs.contains(&0) {
-            return Err(SplIdError::ZeroDivision);
-        }
-        let last = *divs.last().expect("non-empty");
-        if last.is_multiple_of(2) {
-            return Err(SplIdError::TrailingEven(last));
-        }
+        validate(divs)?;
         Ok(SplId::from_slice_unchecked(divs))
+    }
+
+    /// [`SplId::from_divisions`] of `buf[..len]` for a decoder that filled
+    /// the inline buffer itself: validated, not copied again.
+    pub(crate) fn from_inline(buf: [u32; INLINE], len: usize) -> Result<Self, SplIdError> {
+        validate(&buf[..len])?;
+        let len = len as u8;
+        Ok(SplId { divs: Divs::Inline { len, buf } })
     }
 
     /// Internal constructor for callers that maintain the invariants
@@ -278,6 +276,22 @@ impl SplId {
     pub fn is_empty(&self) -> bool {
         false
     }
+}
+
+/// The label invariants, on raw divisions.
+fn validate(divs: &[u32]) -> Result<(), SplIdError> {
+    let (&first, _) = divs.split_first().ok_or(SplIdError::Empty)?;
+    if first != 1 {
+        return Err(SplIdError::BadRoot(first));
+    }
+    if divs.contains(&0) {
+        return Err(SplIdError::ZeroDivision);
+    }
+    let last = *divs.last().expect("non-empty");
+    if last.is_multiple_of(2) {
+        return Err(SplIdError::TrailingEven(last));
+    }
+    Ok(())
 }
 
 impl PartialEq for SplId {

@@ -1,12 +1,139 @@
 //! Deterministic fuzz of the SPLID codec: round trips over random valid
 //! division sequences, order preservation, and graceful `DecodeError`s on
-//! corrupted bytes, and the label operations against a reference on plain
-//! division slices on both sides of the inline-storage limit. Runs with
-//! fixed seeds so local builds get the coverage
-//! even where proptest is unavailable (`prop_splid.rs` covers the
-//! generative variants in CI).
+//! corrupted bytes, the label operations against a reference on plain
+//! division slices on both sides of the inline-storage limit, and the
+//! word-wise codec against the bit-at-a-time one it replaced
+//! ([`reference`]): same bytes, same `Result`s. Fixed seeds, always run.
 
-use xtc_splid::{common_prefix_len, decode, encode, DecodeError, LabelAllocator, SplId};
+use xtc_splid::{
+    common_prefix_len, decode, encode, encode_divisions, encode_into, subtree_upper_bound,
+    DecodeError, LabelAllocator, SplId,
+};
+
+/// The codec as it was before it went word-wise — one loop turn per bit,
+/// an O(bits) padding scan before every division — kept as the oracle.
+mod reference {
+    use xtc_splid::{DecodeError, SplId};
+
+    const R2_BASE: u32 = 8;
+    const R3_BASE: u32 = 72;
+    const R4_BASE: u32 = 4168;
+    const R5_BASE: u32 = 1_052_744;
+
+    struct BitWriter<'a> {
+        out: &'a mut Vec<u8>,
+        cur: u8,
+        used: u8,
+    }
+
+    impl BitWriter<'_> {
+        /// Pushes the low `n` bits of `v`, most significant first.
+        fn push(&mut self, v: u64, n: u8) {
+            for i in (0..n).rev() {
+                let bit = ((v >> i) & 1) as u8;
+                self.cur = (self.cur << 1) | bit;
+                self.used += 1;
+                if self.used == 8 {
+                    self.out.push(self.cur);
+                    self.cur = 0;
+                    self.used = 0;
+                }
+            }
+        }
+
+        fn finish(self) {
+            if self.used > 0 {
+                self.out.push(self.cur << (8 - self.used));
+            }
+        }
+    }
+
+    struct BitReader<'a> {
+        data: &'a [u8],
+        pos: usize, // bit position
+    }
+
+    impl BitReader<'_> {
+        fn read(&mut self, n: u8) -> Option<u64> {
+            let mut v = 0u64;
+            for _ in 0..n {
+                let byte = *self.data.get(self.pos / 8)?;
+                let bit = (byte >> (7 - (self.pos % 8))) & 1;
+                v = (v << 1) | bit as u64;
+                self.pos += 1;
+            }
+            Some(v)
+        }
+
+        /// Remaining bits, all of which must be zero padding.
+        fn only_zero_padding_left(&self) -> bool {
+            (self.pos..self.data.len() * 8).all(|pos| (self.data[pos / 8] >> (7 - (pos % 8))) & 1 == 0)
+        }
+
+        /// True when fewer than 4 unread bits remain (nothing but padding fits).
+        fn at_padding(&self) -> bool {
+            self.data.len() * 8 - self.pos < 4 || self.only_zero_padding_left()
+        }
+    }
+
+    fn push_division(w: &mut BitWriter<'_>, d: u32) {
+        if d < R2_BASE {
+            w.push(0, 1);
+            w.push(d as u64, 3);
+        } else if d < R3_BASE {
+            w.push(0b10, 2);
+            w.push((d - R2_BASE) as u64, 6);
+        } else if d < R4_BASE {
+            w.push(0b110, 3);
+            w.push((d - R3_BASE) as u64, 12);
+        } else if d < R5_BASE {
+            w.push(0b1110, 4);
+            w.push((d - R4_BASE) as u64, 20);
+        } else {
+            w.push(0b1111, 4);
+            w.push((d - R5_BASE) as u64, 32);
+        }
+    }
+
+    pub fn encode_divisions(divs: &[u32]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = BitWriter { out: &mut buf, cur: 0, used: 0 };
+        for &d in divs {
+            push_division(&mut w, d);
+        }
+        w.finish();
+        buf
+    }
+
+    pub fn decode(bytes: &[u8]) -> Result<SplId, DecodeError> {
+        let mut r = BitReader { data: bytes, pos: 0 };
+        let mut divs = Vec::new();
+        while !r.at_padding() {
+            divs.push(read_division(&mut r)?);
+        }
+        SplId::from_divisions(&divs).map_err(DecodeError::Invalid)
+    }
+
+    fn read_division(r: &mut BitReader<'_>) -> Result<u32, DecodeError> {
+        let mut read = |n| r.read(n).ok_or(DecodeError::Truncated);
+        if read(1)? == 0 {
+            return match read(3)? as u32 {
+                0 => Err(DecodeError::ZeroPayload),
+                v => Ok(v),
+            };
+        }
+        if read(1)? == 0 {
+            return Ok(R2_BASE + read(6)? as u32);
+        }
+        if read(1)? == 0 {
+            return Ok(R3_BASE + read(12)? as u32);
+        }
+        if read(1)? == 0 {
+            return Ok(R4_BASE + read(20)? as u32);
+        }
+        Ok(R5_BASE.wrapping_add(read(32)? as u32))
+    }
+}
 
 /// xorshift64* — no external RNG dependency, stable across platforms.
 struct Rng(u64);
@@ -26,26 +153,31 @@ impl Rng {
     }
 }
 
-/// A random valid label: starts at the root division 1, never contains 0,
-/// ends odd. Division magnitudes are drawn across all five code ranges so
-/// every prefix/payload combination round-trips.
-fn random_divisions(rng: &mut Rng) -> Vec<u32> {
-    let len = 1 + rng.below(12) as usize;
+/// Division values on and beside every range boundary, and inside each.
+fn boundary_division(rng: &mut Rng) -> u32 {
+    const EDGES: [u32; 12] = [1, 2, 7, 8, 71, 72, 4167, 4168, 1_052_743, 1_052_744, u32::MAX - 1, u32::MAX];
+    match rng.below(8) {
+        0..=2 => EDGES[rng.below(EDGES.len() as u64) as usize],
+        3 => 1 + rng.below(7) as u32,
+        4 => 8 + rng.below(64) as u32,
+        5 => 72 + rng.below(4096) as u32,
+        6 => 4168 + rng.below(1 << 20) as u32,
+        _ => 1_052_744u32.saturating_add(rng.next() as u32),
+    }
+}
+
+/// A valid label of `len` divisions drawn by [`boundary_division`].
+fn boundary_label(len: usize, rng: &mut Rng) -> Vec<u32> {
     let mut divs = vec![1u32];
-    for _ in 1..len {
-        let d = match rng.below(5) {
-            0 => 1 + rng.below(7) as u32,                       // range 1
-            1 => 8 + rng.below(64) as u32,                      // range 2
-            2 => 72 + rng.below(4096) as u32,                   // range 3
-            3 => 4168 + rng.below(1 << 20) as u32,              // range 4
-            _ => 1_052_744u32.saturating_add(rng.next() as u32), // range 5
-        };
-        divs.push(d.max(1));
-    }
-    if let Some(last) = divs.last_mut() {
-        *last |= 1; // labels end in an odd division
-    }
+    divs.extend((1..len).map(|_| boundary_division(rng)));
+    *divs.last_mut().unwrap() |= 1;
     divs
+}
+
+/// A random valid label of 1 to 12 divisions: starts at the root division
+/// 1, never contains 0, ends odd.
+fn random_divisions(rng: &mut Rng) -> Vec<u32> {
+    boundary_label(1 + rng.below(12) as usize, rng)
 }
 
 #[test]
@@ -168,7 +300,6 @@ fn zero_payload_reports_zero_payload() {
 
 #[test]
 fn structurally_invalid_sequences_report_invalid() {
-    use xtc_splid::encode_divisions;
     // Decodes fine but violates label invariants: bad root.
     assert!(matches!(
         decode(&encode_divisions(&[3, 3])),
@@ -290,4 +421,97 @@ fn labels_agree_with_slice_reference_across_the_spill_boundary() {
             assert_eq!(child.parent().unwrap(), la);
         }
     }
+}
+
+/// The word-wise packer writes the bytes the bit-at-a-time one wrote, from
+/// every entry point, for labels on both sides of the inline limit (14
+/// divisions) across all five ranges and their boundaries.
+#[test]
+fn encoders_write_the_reference_bytes() {
+    let mut rng = Rng(0x5EED_0006);
+    for len in 1..=40usize {
+        for case in 0..150 {
+            let divs = boundary_label(len, &mut rng);
+            let label = SplId::from_divisions(&divs).unwrap();
+            let want = reference::encode_divisions(&divs);
+            let ctx = format!("len {len} case {case}: {label}");
+            assert_eq!(encode(&label), want, "{ctx}");
+            assert_eq!(encode_divisions(&divs), want, "{ctx}");
+            let mut buf = vec![0xAB, 0xCD];
+            assert_eq!(encode_into(&label, &mut buf), want.len(), "{ctx}");
+            assert_eq!(buf, [&[0xAB, 0xCD], &want[..]].concat(), "{ctx}");
+            assert_eq!(decode(&want), Ok(label.clone()), "{ctx}");
+            // The bound raises the last division; u32::MAX has no bound.
+            if *divs.last().unwrap() != u32::MAX {
+                let mut bumped = divs.clone();
+                *bumped.last_mut().unwrap() += 1;
+                let want = reference::encode_divisions(&bumped);
+                assert_eq!(subtree_upper_bound(&label), want, "{ctx}: bound");
+            }
+        }
+    }
+    // Sequences that are no labels: no root, an even tail, nothing.
+    for divs in [&[][..], &[2, 4], &[7, 8, 71, 72]] {
+        assert_eq!(encode_divisions(divs), reference::encode_divisions(divs), "{divs:?}");
+    }
+}
+
+/// `decode` gives the reference's `Result` — the error variant included —
+/// on every truncation of a valid encoding, on set bits in and behind the
+/// padding, on a `0000` nibble in front of set bits, and on random bytes.
+#[test]
+fn decode_answers_as_the_reference_does() {
+    let same = |bytes: &[u8], ctx: &str| assert_eq!(decode(bytes), reference::decode(bytes), "{ctx}: {bytes:02x?}");
+    let mut rng = Rng(0x5EED_0007);
+    let mut errors = [0usize; 3];
+    for len in 1..=40usize {
+        for case in 0..40 {
+            let divs = boundary_label(len, &mut rng);
+            let bytes = reference::encode_divisions(&divs);
+            let ctx = format!("len {len} case {case}");
+            for cut in 0..=bytes.len() {
+                same(&bytes[..cut], &ctx);
+            }
+            // Every bit of the last byte set in turn: padding that is not
+            // zero, or a changed final division.
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                *bad.last_mut().unwrap() |= 1 << bit;
+                same(&bad, &ctx);
+            }
+            // Zero bytes behind the label are padding; a set bit behind a
+            // zero nibble makes that nibble a zero payload.
+            for (zeros, tail) in [(1, 0), (9, 0), (1, 1), (2, 0x80), (9, 0x08)] {
+                let mut bad = bytes.clone();
+                bad.extend(std::iter::repeat_n(0, zeros));
+                bad.push(tail);
+                same(&bad, &ctx);
+            }
+            // A zero nibble spliced in at a byte boundary.
+            let at = rng.below(bytes.len() as u64 + 1) as usize;
+            let mut bad = bytes.clone();
+            bad.insert(at, rng.next() as u8 & 0x0F);
+            same(&bad, &ctx);
+            // Any byte overwritten.
+            let mut bad = bytes.clone();
+            bad[rng.below(bytes.len() as u64) as usize] = rng.next() as u8;
+            same(&bad, &ctx);
+        }
+    }
+    for case in 0..20_000 {
+        // Random bytes; every other case behind a root division so that
+        // more of them get past the first check.
+        let mut bytes: Vec<u8> = (0..rng.below(24)).map(|_| rng.next() as u8).collect();
+        if case % 2 == 0 {
+            bytes.insert(0, 0x10 | rng.next() as u8 & 0x0F);
+        }
+        same(&bytes, "random");
+        match decode(&bytes) {
+            Err(DecodeError::Truncated) => errors[0] += 1,
+            Err(DecodeError::ZeroPayload) => errors[1] += 1,
+            Err(DecodeError::Invalid(_)) => errors[2] += 1,
+            Ok(_) => {}
+        }
+    }
+    assert!(errors.iter().all(|&n| n > 100), "an error variant went unexercised: {errors:?}");
 }

@@ -244,9 +244,14 @@ impl BTree {
 
     /// Looks up the value stored under `key`.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.get_with(key, <[u8]>::to_vec)
+    }
+
+    /// Hands `f` the value stored under `key`, where it lies on the page.
+    pub fn get_with<R>(&self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let g = self.inner.read();
         let (p, found) = self.locate(&g, key);
-        found.ok().map(|i| page::leaf_val(p, i).to_vec())
+        found.ok().map(|i| f(page::leaf_val(p, i)))
     }
 
     /// `true` if `key` is present.
@@ -299,6 +304,10 @@ impl BTree {
             Ok(i) => i + 1,
             Err(i) => i,
         };
+        if pos < page::count(p) {
+            // Where the search ended: the key is built from `key`'s own bytes.
+            return Some(f(&page::leaf_search_end_key(p, key, pos), page::leaf_val(p, pos)));
+        }
         entry_at_or_after(&g.pool, p, pos, f)
     }
 
@@ -593,7 +602,7 @@ fn leaf_insert(g: &mut Inner, cur: PageId, key: &[u8], val: &[u8]) -> Inserted {
     if next != NO_PAGE {
         page::set_prev_link(g.pool.write(next), right);
     }
-    (old, Some((page::leaf_key(&half, 0), right)))
+    (old, Some((page::leaf_key(&half, 0).to_vec(), right)))
 }
 
 /// Removes `key` below `cur` and returns its value. A removal never needs
@@ -806,6 +815,39 @@ mod tests {
         assert_eq!(prev(0), None);
         assert_eq!(t.first().unwrap().0, key(0));
         assert_eq!(t.last().unwrap().0, key(198));
+    }
+
+    /// Every stored key and a key in every gap, so also from the last slot
+    /// of each leaf to the first of the next and back, against a model —
+    /// after a shuffled load and removals on 256-byte pages.
+    #[test]
+    fn next_and_prev_agree_with_a_model_across_leaves() {
+        use std::collections::BTreeMap;
+        use std::ops::Bound::{Excluded, Unbounded};
+        let t = small_tree();
+        let mut model = BTreeMap::new();
+        let stem = |i: u32| format!("doc/{}/{:04}", i % 3, i).into_bytes();
+        for i in 0..1500u32 {
+            let k = stem(i * 611 % 1500);
+            t.insert(&k, &i.to_le_bytes()).unwrap();
+            model.insert(k, i.to_le_bytes().to_vec());
+        }
+        for i in (0..1500u32).filter(|i| i % 7 == 3 || i % 64 < 9) {
+            assert_eq!(t.remove(&stem(i)), model.remove(&stem(i)));
+        }
+        assert!(t.occupancy().leaf_pages > 40);
+        let probes = model.keys().flat_map(|k| {
+            let (&last, head) = k.split_last().unwrap();
+            [k.clone(), [k, &b"+"[..]].concat(), [head, &[last - 1, 0xFF]].concat(), head.to_vec()]
+        });
+        for probe in probes.chain([vec![], b"doc".to_vec(), b"e".to_vec()]) {
+            let pair = |k: &[u8], v: &[u8]| (k.to_vec(), v.to_vec());
+            let next = model.range::<Vec<u8>, _>((Excluded(&probe), Unbounded)).next();
+            assert_eq!(t.next_after(&probe, pair), next.map(|(k, v)| pair(k, v)), "after {probe:?}");
+            let prev = model.range::<Vec<u8>, _>(..&probe).next_back();
+            assert_eq!(t.prev_before(&probe, pair), prev.map(|(k, v)| pair(k, v)), "before {probe:?}");
+            assert_eq!(t.get_with(&probe, <[u8]>::to_vec), model.get(&probe).cloned(), "get {probe:?}");
+        }
     }
 
     #[test]

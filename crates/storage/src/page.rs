@@ -27,10 +27,31 @@
 //! A *restart* is a cell with `shared == 0`: it holds its full key. That is
 //! a property of the cell, not of its slot index, and two invariants make
 //! it enough: slot 0 is a restart, and no *run* — a restart and the
-//! non-restart cells behind it — is longer than [`RESTART_INTERVAL`]. So a
-//! search narrows over restart keys and then decodes one run. A stored
-//! `shared` may be *less* than what the two keys really share; that costs
-//! bytes, never correctness.
+//! non-restart cells behind it — is longer than [`RESTART_INTERVAL`]. A
+//! stored `shared` may be *less* than what the two keys really share; that
+//! costs bytes, never correctness.
+//!
+//! A search ([`leaf_search`]) narrows over restart keys and then walks one
+//! run **without rebuilding a key**. It keeps `cpl`, the bytes of the
+//! search key known equal to the previous cell's key (which was less):
+//!
+//! * `shared > cpl` — the cell repeats the previous key up to and past
+//!   the byte at which that key fell below the search key: it is less
+//!   too, `cpl` stands, and not a byte of it is read;
+//! * `shared == cpl` — its suffix begins where the two keys part:
+//!   comparing the suffix with `key[shared..]` decides;
+//! * `shared < cpl` — its first `shared` bytes are the search key's as
+//!   well, so the same compare decides. Were `shared` maximal the cell
+//!   would be greater unread, but an understated `shared` only means the
+//!   suffix repeats bytes of the previous key, and the compare reads them.
+//!
+//! Either way the compare yields the new `cpl`. Where the search ends —
+//! the insertion slot, or the slot behind a match — the cell fell under
+//! the second or third case, or follows the match itself: its prefix is
+//! the *search key's*, and [`leaf_search_end_key`] builds its key as
+//! `key[..shared] + suffix`. Everything else that needs a full key
+//! ([`leaf_key`], [`leaf_for_each_from`], the edits) decodes a run into a
+//! [`KeyBuf`] on the stack.
 //!
 //! Because restarts travel with their cells, an edit touches the cell it
 //! is about and at most the one behind it: [`leaf_insert_at`] encodes only
@@ -51,7 +72,7 @@ pub const TYPE_LEAF: u8 = 1;
 pub const TYPE_INNER: u8 = 2;
 
 /// Longest run of leaf cells decoded from one full key. Smaller intervals
-/// cost stored bytes, larger ones lengthen the linear decode in searches;
+/// cost stored bytes, larger ones lengthen the linear walk in searches;
 /// 16 keeps both at a few percent (see DESIGN.md, storage).
 pub const RESTART_INTERVAL: usize = 16;
 
@@ -170,16 +191,56 @@ fn run_ahead(p: &[u8], i: usize) -> usize {
     (i..count(p)).take_while(|&j| shared(p, j) != 0).count()
 }
 
+/// A decoded key on the stack: front-coded cells store key lengths in one
+/// byte, so 256 bytes hold any of them.
+pub struct KeyBuf {
+    buf: [u8; 256],
+    len: usize,
+}
+
+impl KeyBuf {
+    fn new() -> Self {
+        KeyBuf { buf: [0; 256], len: 0 }
+    }
+
+    /// One decode step: keep `shared` bytes, append `suffix`.
+    #[inline]
+    fn step(&mut self, shared: usize, suffix: &[u8]) {
+        self.len = shared + suffix.len();
+        self.buf[shared..self.len].copy_from_slice(suffix);
+    }
+}
+
+impl std::ops::Deref for KeyBuf {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
 /// Full key of leaf cell `i`, reconstructed from the covering restart
 /// (at most [`RESTART_INTERVAL`] incremental steps).
-pub fn leaf_key(p: &[u8], i: usize) -> Vec<u8> {
-    let mut key = Vec::new();
+pub fn leaf_key(p: &[u8], i: usize) -> KeyBuf {
+    let mut key = KeyBuf::new();
     for j in i + 1 - run_back(p, i + 1)..=i {
         let (shared, suffix) = leaf_suffix_parts(p, j);
-        key.truncate(shared);
-        key.extend_from_slice(suffix);
+        key.step(shared, suffix);
     }
     key
+}
+
+/// Full key of cell `pos`, where a [`leaf_search`] for `key` ended: the
+/// insertion slot, or the slot behind the match (`pos < count`). That
+/// cell's stored prefix is a prefix of `key` (module doc), so no run is
+/// decoded.
+pub fn leaf_search_end_key(p: &[u8], key: &[u8], pos: usize) -> KeyBuf {
+    let (shared, suffix) = leaf_suffix_parts(p, pos);
+    let mut out = KeyBuf::new();
+    out.step(0, &key[..shared]);
+    out.step(shared, suffix);
+    out
 }
 
 /// Whether `key` provably belongs on this leaf: at or above its first key
@@ -199,7 +260,8 @@ pub fn leaf_covers(p: &[u8], key: &[u8]) -> bool {
 
 /// Binary search in a leaf: `Ok(i)` if `key` is at slot `i`, `Err(i)` for
 /// the insertion position. Narrows `lo..hi` over restart cells (full
-/// keys, direct slice compare) until one run is left, then decodes it.
+/// keys, direct slice compare) until one run is left, then walks it in
+/// place — the module doc has the rule.
 pub fn leaf_search(p: &[u8], key: &[u8]) -> Result<usize, usize> {
     let n = count(p);
     if n == 0 || key < leaf_suffix_parts(p, 0).1 {
@@ -229,15 +291,19 @@ pub fn leaf_search(p: &[u8], key: &[u8]) -> Result<usize, usize> {
             Ordering::Greater => hi = r,
         }
     }
-    let mut cur = Vec::new();
+    // Bytes of `key` equal to the previous cell's key; `lo` shares none.
+    let mut cpl = 0;
     for i in lo..hi {
         let (shared, suffix) = leaf_suffix_parts(p, i);
-        cur.truncate(shared);
-        cur.extend_from_slice(suffix);
-        match cur.as_slice().cmp(key) {
+        if shared > cpl {
+            continue;
+        }
+        let rest = &key[shared..];
+        let same = common_prefix_len(suffix, rest);
+        match suffix[same..].first().cmp(&rest[same..].first()) {
             Ordering::Equal => return Ok(i),
             Ordering::Greater => return Err(i),
-            Ordering::Less => {}
+            Ordering::Less => cpl = shared + same,
         }
     }
     Err(hi)
@@ -249,11 +315,10 @@ pub fn leaf_for_each_from(p: &[u8], start: usize, mut f: impl FnMut(usize, &[u8]
     if start >= count(p) {
         return;
     }
-    let mut cur = Vec::new();
+    let mut cur = KeyBuf::new();
     for i in start + 1 - run_back(p, start + 1)..count(p) {
         let (shared, suffix) = leaf_suffix_parts(p, i);
-        cur.truncate(shared);
-        cur.extend_from_slice(suffix);
+        cur.step(shared, suffix);
         if i >= start && !f(i, &cur, leaf_val(p, i)) {
             return;
         }
@@ -647,7 +712,7 @@ mod tests {
                 assert!(shared <= cpl, "{ctx}: slot {i} stores shared {shared}, keys share {cpl}");
             }
             assert_eq!(suffix, &k[shared..], "{ctx}: slot {i} suffix");
-            assert_eq!(leaf_key(p, i), *k, "{ctx}: slot {i} key");
+            assert_eq!(&leaf_key(p, i)[..], k, "{ctx}: slot {i} key");
             assert_eq!(leaf_val(p, i), v.as_slice(), "{ctx}: slot {i} value");
             assert_eq!(leaf_search(p, k), Ok(i), "{ctx}: search of slot {i}");
             let mut gap = k.clone();
@@ -721,11 +786,11 @@ mod tests {
         let (shared, suffix) = leaf_suffix_parts(&p, 1);
         assert_eq!((shared, suffix), (2, &b"c"[..]), "front-coded tail only");
         assert_eq!(leaf_val(&p, 1), &[1]);
-        assert_eq!(leaf_key(&p, 2), b"xye");
+        assert_eq!(&leaf_key(&p, 2)[..], b"xye");
         leaf_remove_at(&mut p, 1);
         assert_eq!(count(&p), 2);
         assert_eq!(leaf_search(&p, b"xyc"), Err(1));
-        assert_eq!(leaf_key(&p, 1), b"xye");
+        assert_eq!(&leaf_key(&p, 1)[..], b"xye");
         assert_eq!(link(&p), 7, "removal keeps chain links");
         assert_eq!(prev_link(&p), 9);
     }
@@ -811,6 +876,105 @@ mod tests {
         check(&p, &model, "reverse load");
         let restarts = (0..40).filter(|&i| leaf_suffix_parts(&p, i).0 == 0).count();
         assert_eq!(restarts, 40usize.div_ceil(RESTART_INTERVAL));
+    }
+
+    /// `leaf_search` against a binary search over the decoded keys, and the
+    /// search-end key against `leaf_key`, for probes on and around every
+    /// stored key: the key, its proper prefixes, extensions, a nudge below
+    /// and above, the empty key and one above all.
+    fn probe_search(p: &[u8], ctx: &str) {
+        let keys: Vec<Vec<u8>> = entries(p).into_iter().map(|(k, _)| k).collect();
+        let mut probes = vec![vec![], vec![0xFF; 40]];
+        for k in &keys {
+            probes.push(k.clone());
+            probes.extend((0..k.len()).map(|cut| k[..cut].to_vec()));
+            for tail in [&[0][..], b"0", b"2", b"33", &[0xFF]] {
+                probes.push([k, tail].concat());
+            }
+            if let Some((&last, head)) = k.split_last() {
+                // Just below `k` and just above everything `k` begins.
+                probes.push([head, &[last.wrapping_sub(1), 0xFF]].concat());
+                probes.push([head, &[last.wrapping_add(1)]].concat());
+            }
+        }
+        for probe in &probes {
+            let found = leaf_search(p, probe);
+            assert_eq!(found, keys.binary_search(probe), "{ctx}: search for {probe:?}");
+            let (Ok(pos) | Err(pos)) = found.map(|i| i + 1);
+            if pos < keys.len() {
+                let end = leaf_search_end_key(p, probe, pos);
+                assert_eq!(&end[..], &leaf_key(p, pos)[..], "{ctx}: end of the search for {probe:?}");
+                assert_eq!(&end[..], keys[pos], "{ctx}: end of the search for {probe:?}");
+            }
+        }
+    }
+
+    /// A page after `steps` random inserts and removals (a refused insert
+    /// evicts a random cell): restarts wherever churn left them.
+    fn churned(seed: u64, size: usize, steps: usize) -> Vec<u8> {
+        let mut rng = Rng(seed);
+        let mut p = leaf(size);
+        for _ in 0..steps {
+            let key = rng.key();
+            match leaf_search(&p, &key) {
+                Ok(i) if rng.below(2) == 0 => leaf_remove_at(&mut p, i),
+                Ok(_) => {}
+                Err(i) => {
+                    if !leaf_insert_at(&mut p, i, &key, &rng.val(4)) {
+                        let victim = rng.below(count(&p));
+                        leaf_remove_at(&mut p, victim);
+                    }
+                }
+            }
+        }
+        p
+    }
+
+    /// `keys` (sorted) laid out cell by cell with `shared` drawn below what
+    /// neighbours really share — what the format allows and no edit path
+    /// produces on purpose.
+    fn understated(rng: &mut Rng, keys: &[Vec<u8>]) -> Vec<u8> {
+        let mut p = leaf(8192);
+        let (mut run, mut short) = (0, 0);
+        for (i, k) in keys.iter().enumerate() {
+            let full = if i == 0 { 0 } else { common_prefix_len(&keys[i - 1], k) };
+            let shared = if run == RESTART_INTERVAL || full == 0 { 0 } else { 1 + rng.below(full) };
+            run = if shared == 0 { 1 } else { run + 1 };
+            short += usize::from(shared != 0 && shared < full);
+            assert!(put_cell(&mut p, i, shared, &k[shared..], b"v"));
+        }
+        assert!(short > keys.len() / 4, "only {short} of {} cells understate", keys.len());
+        p
+    }
+
+    #[test]
+    fn search_agrees_with_decoded_keys_on_irregular_pages() {
+        let mut rng = Rng(77);
+        let mut keys: Vec<Vec<u8>> = (0..150).map(|_| rng.key()).collect();
+        keys.sort();
+        keys.dedup();
+        let model: Entries = keys.iter().map(|k| (k.clone(), b"v".to_vec())).collect();
+        let loaded = build(8192, &model);
+        probe_search(&loaded, "key-order load");
+        let mut reversed = leaf(8192);
+        for (k, v) in model.iter().rev() {
+            assert!(leaf_insert_at(&mut reversed, 0, k, v));
+        }
+        probe_search(&reversed, "reverse load");
+        let p = understated(&mut rng, &keys);
+        check(&p, &model, "understated");
+        probe_search(&p, "understated");
+        let mut off_grid = 0;
+        for (seed, size) in [(21, 512), (22, 1024), (23, 2048), (24, 2048), (25, 4096)] {
+            for steps in [300, 2000, 6000] {
+                let p = churned(seed, size, steps);
+                off_grid += (0..count(&p)).filter(|&i| shared(&p, i) == 0 && i % RESTART_INTERVAL != 0).count();
+                probe_search(&p, &format!("churn seed {seed} size {size} after {steps}"));
+            }
+        }
+        assert!(off_grid > 30, "churn left only {off_grid} restarts off the multiples of the interval");
+        probe_search(&leaf(256), "empty page");
+        probe_search(&build(256, &[(vec![], vec![])]), "the empty key alone");
     }
 
     /// Random inserts, removals and value growth against a model, every
